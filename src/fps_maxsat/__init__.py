@@ -2,28 +2,27 @@
 
 The package is organised around five pieces:
 
-- :mod:`fps_maxsat.formula`: immutable problem representation, WCNF parsing
-  (both the pre-2022 ``p wcnf`` header dialect and the 2022 ``h``-prefix
-  dialect), and a from-scratch cost oracle.
+- :mod:`fps_maxsat.formula`: immutable problem representation (clauses as
+  tuples of signed integer literals, weights with 0 marking hard clauses),
+  WCNF parsing (both the pre-2022 ``p wcnf`` header dialect and the 2022
+  ``h``-prefix dialect), and a from-scratch cost oracle.
 - :mod:`fps_maxsat.engine`: the mutable search state with incremental score
-  and falsified-clause maintenance, pseudo-flip probing, and dynamic clause
-  weighting.
+  and falsified-clause maintenance, a read-only one-flip look-ahead, and
+  dynamic clause weighting.
 - :mod:`fps_maxsat.solver`: the search loops.  A single-flip baseline and a
   two-level look-ahead strategy that samples falsified clauses, probes
   candidate first flips, and picks a partner flip with bounded-sample
   selection.  Ablation toggles expose the strategy's moving parts.
 - :mod:`fps_maxsat.oracle`: exact optimum for small instances by exhaustive
-  enumeration, used to validate the heuristics.
+  enumeration, used to validate the heuristics.  It imports numpy when
+  called, not when the package is imported.
 - :mod:`fps_maxsat.harness`/:mod:`fps_maxsat.cli`: evaluation tooling and the
   ``fps-maxsat`` command line front end.
 """
 
 from .formula import (
     INFEASIBLE,
-    Clause,
-    ClauseKind,
     Formula,
-    Literal,
     ParseError,
     evaluate_cost,
     is_feasible,
@@ -45,11 +44,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INFEASIBLE",
-    "Clause",
-    "ClauseKind",
     "EscapePolicy",
     "Formula",
-    "Literal",
     "ParseError",
     "RunResult",
     "RunStatus",

@@ -11,9 +11,9 @@ variables (the single satisfying variable of a clause with one true literal)
 are cached so that a 2-to-1 transition needs one clause scan and everything
 else is O(1) per touched clause.
 
-Pseudo flips (:meth:`SearchState.begin_probe` / :meth:`SearchState.end_probe`)
-apply a flip and undo it exactly, without touching the flip counter or the
-best-solution bookkeeping.  Probes do not nest.
+:meth:`SearchState.probed_positive_scores` looks one flip ahead without
+mutating anything: it returns the positive scores the state would have if a
+given variable were flipped.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from .formula import INFEASIBLE, ClauseKind, Formula
+from .formula import INFEASIBLE, Formula
 
 
 @dataclass(frozen=True)
@@ -65,11 +65,7 @@ class WeightingParams:
         """
         if not formula.is_weighted:
             return cls()
-        softs = [
-            c.weight
-            for c in formula.clauses
-            if c.kind is ClauseKind.SOFT
-        ]
+        softs = [w for w in formula.weights if w]
         if softs:
             hard_init = max(1, math.ceil(sum(softs) / len(softs)))
             cap = 10 * max(softs)
@@ -132,15 +128,6 @@ class IndexedSet:
         return f"IndexedSet({sorted(self.items)!r})"
 
 
-class ProbeToken:
-    """Handle for an open pseudo flip; pass back to ``end_probe``."""
-
-    __slots__ = ("var",)
-
-    def __init__(self, var: int) -> None:
-        self.var = var
-
-
 class SearchState:
     """Incremental assignment state over a fixed formula.
 
@@ -176,7 +163,6 @@ class SearchState:
         "best_assign",
         "_offset",
         "_never_feasible",
-        "_probe_open",
     )
 
     def __init__(
@@ -193,33 +179,26 @@ class SearchState:
         n = formula.num_vars
         self.num_vars = n
 
-        lits: List[Tuple[int, ...]] = []
-        clause_vars: List[Tuple[int, ...]] = []
-        is_hard: List[bool] = []
-        soft_weight: List[int] = []
-        dyn_weight: List[int] = []
+        # The formula's clause and weight tuples are shared, not copied:
+        # soft_weight[c] is 0 for a hard clause.
+        lits = formula.clauses
+        soft_weight = formula.weights
+        is_hard = [not w for w in soft_weight]
+        hard_init = weighting.hard_init
+        if weighting.soft_init_from_weight:
+            dyn_weight = [w or hard_init for w in soft_weight]
+        else:
+            dyn_weight = [1 if w else hard_init for w in soft_weight]
         pos_occ: List[List[int]] = [[] for _ in range(n + 1)]
         neg_occ: List[List[int]] = [[] for _ in range(n + 1)]
-        for c, clause in enumerate(formula.clauses):
-            ints = clause.ints()
-            lits.append(ints)
-            clause_vars.append(tuple(lit.var for lit in clause.literals))
-            hard = clause.kind is ClauseKind.HARD
-            is_hard.append(hard)
-            soft_weight.append(0 if hard else clause.weight)
-            if hard:
-                dyn_weight.append(weighting.hard_init)
-            elif weighting.soft_init_from_weight:
-                dyn_weight.append(clause.weight)
-            else:
-                dyn_weight.append(1)
-            for lit in ints:
+        for c, clause in enumerate(lits):
+            for lit in clause:
                 if lit > 0:
                     pos_occ[lit].append(c)
                 else:
                     neg_occ[-lit].append(c)
         self.lits = lits
-        self.clause_vars = clause_vars
+        self.clause_vars = [tuple(map(abs, clause)) for clause in lits]
         self.is_hard = is_hard
         self.soft_weight = soft_weight
         self.dyn_weight = dyn_weight
@@ -279,11 +258,11 @@ class SearchState:
 
         self._offset = formula.soft_offset
         self._never_feasible = formula.has_empty_hard
-        self._probe_open: Optional[ProbeToken] = None
         self.flips = 0
-        self.best_cost: float = INFEASIBLE
-        self.best_assign: Optional[List[bool]] = None
-        self._note_candidate()
+        self.best_cost = self.current_cost
+        self.best_assign: Optional[List[bool]] = (
+            None if self.best_cost == INFEASIBLE else assign.copy()
+        )
 
     # -- cost views ---------------------------------------------------
 
@@ -304,24 +283,13 @@ class SearchState:
             return None
         return self.best_assign[1:]
 
-    def _note_candidate(self) -> None:
-        if self._never_feasible or self.falsified_hard.items:
-            return
-        cost = self.soft_falsified_weight + self._offset
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_assign = self.assign.copy()
-
     # -- flips ----------------------------------------------------------
 
     def flip(self, x: int) -> None:
         """Flip variable ``x``, update all incremental structures.
 
-        Counts toward ``flips`` and may update the best solution.  Not
-        allowed while a probe is open.
+        Counts toward ``flips`` and may update the best solution.
         """
-        if self._probe_open is not None:
-            raise RuntimeError("flip while a probe is open")
         if not 1 <= x <= self.num_vars:
             raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
         self._apply_flip(x)
@@ -333,34 +301,13 @@ class SearchState:
             self.best_cost = cost
             self.best_assign = self.assign.copy()
 
-    def begin_probe(self, x: int) -> ProbeToken:
-        """Pseudo-flip ``x``: apply the flip without best/flip bookkeeping."""
-        if self._probe_open is not None:
-            raise RuntimeError("probes do not nest")
-        if not 1 <= x <= self.num_vars:
-            raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
-        self._apply_flip(x)
-        token = ProbeToken(x)
-        self._probe_open = token
-        return token
-
-    def end_probe(self, token: ProbeToken) -> None:
-        """Undo the probe identified by ``token``, restoring the state."""
-        if self._probe_open is None:
-            raise RuntimeError("no probe is open")
-        if token is not self._probe_open:
-            raise RuntimeError("probe token does not match the open probe")
-        self._probe_open = None
-        self._apply_flip(token.var)
-
     def probed_positive_scores(self, x: int) -> Dict[int, int]:
         """Positive-score variables of the hypothetical state with ``x`` flipped.
 
-        Read-only equivalent of begin_probe(x), collect good_vars with
-        their scores, end_probe.  Only clause-mates of x can change score,
+        Equal to ``{v: score[v] for v in good_vars}`` after ``flip(x)``,
+        but nothing is mutated.  Only clause-mates of x can change score,
         so one pass over x's occurrence lists builds a small delta table;
-        x itself flips sign (score'(x) = -score(x)).  Nothing is mutated,
-        which makes this much cheaper than a real probe pair.
+        x itself flips sign (score'(x) = -score(x)).
         """
         if not 1 <= x <= self.num_vars:
             raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
@@ -535,8 +482,6 @@ class SearchState:
         ``soft_cap`` by ``s_inc``.  Scores and ``good_vars`` are kept
         consistent.
         """
-        if self._probe_open is not None:
-            raise RuntimeError("weight update while a probe is open")
         wp = self.weighting
         score = self.score
         gv = self.good_vars

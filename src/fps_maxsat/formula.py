@@ -5,6 +5,10 @@ A formula is a set of hard clauses (must all be satisfied) and soft clauses
 total weight of falsified soft clauses, or :data:`INFEASIBLE` when any hard
 clause is falsified.
 
+Clauses are stored as tuples of signed integer literals, with a parallel
+tuple of weights in which 0 marks a hard clause; the search engine and the
+exhaustive oracle read them as they are.
+
 Two WCNF dialects are accepted:
 
 - the pre-2022 dialect with a ``p wcnf <nv> <nc> <top>`` header, where a
@@ -18,8 +22,7 @@ Two WCNF dialects are accepted:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 #: Cost sentinel for assignments that falsify a hard clause.  Compares
 #: strictly greater than every finite cost.
@@ -34,67 +37,28 @@ class ParseError(ValueError):
     """Raised on malformed WCNF input."""
 
 
-class Literal(NamedTuple):
-    """A variable occurrence with a sign.  Variables are numbered from 1."""
-
-    var: int
-    positive: bool
-
-    @classmethod
-    def from_int(cls, lit: int) -> "Literal":
-        if lit == 0:
-            raise ValueError("literal 0 is reserved as the clause terminator")
-        return cls(abs(lit), lit > 0)
-
-    def to_int(self) -> int:
-        return self.var if self.positive else -self.var
-
-    def negated(self) -> "Literal":
-        return Literal(self.var, not self.positive)
-
-
-class ClauseKind(Enum):
-    HARD = "hard"
-    SOFT = "soft"
-
-
-@dataclass(frozen=True)
-class Clause:
-    """An immutable clause.  ``weight`` is meaningful only for soft clauses."""
-
-    literals: Tuple[Literal, ...]
-    kind: ClauseKind
-    weight: int = 1
-
-    @property
-    def is_hard(self) -> bool:
-        return self.kind is ClauseKind.HARD
-
-    def ints(self) -> Tuple[int, ...]:
-        return tuple(lit.to_int() for lit in self.literals)
-
-
 @dataclass(frozen=True)
 class Formula:
     """An immutable (weighted) partial MaxSAT instance.
 
+    Clause ``i`` is ``clauses[i]``, a tuple of signed integer literals
+    (``v`` or ``-v`` for variable ``v``, numbered from 1), and its weight is
+    ``weights[i]``: a positive integer for a soft clause, 0 for a hard one.
     ``soft_offset`` is the weight collected from empty soft clauses: it is
     added to every assignment's cost.  ``has_empty_hard`` marks a formula
     containing an empty hard clause, which makes every assignment infeasible.
-    Clause identity is positional: clause ``i`` is ``clauses[i]``.
     """
 
     num_vars: int
-    clauses: Tuple[Clause, ...]
+    clauses: Tuple[Tuple[int, ...], ...]
+    weights: Tuple[int, ...]
     soft_offset: int = 0
     has_empty_hard: bool = False
 
     @property
     def is_weighted(self) -> bool:
         """True when some soft clause carries a weight other than 1."""
-        return any(
-            c.weight != 1 for c in self.clauses if c.kind is ClauseKind.SOFT
-        )
+        return any(w > 1 for w in self.weights)
 
     @property
     def num_clauses(self) -> int:
@@ -144,7 +108,8 @@ def _assemble(
             f"variable {max_var} exceeds declared num_vars {num_vars}"
         )
 
-    clauses: List[Clause] = []
+    clauses: List[Tuple[int, ...]] = []
+    weights: List[int] = []
     soft_offset = 0
     has_empty_hard = False
     total_soft = 0
@@ -156,17 +121,8 @@ def _assemble(
             if total_soft > MAX_TOTAL_SOFT_WEIGHT:
                 raise ValueError("total soft weight exceeds 64 bits")
         # Dedup literals, keep first-occurrence order, drop tautologies.
-        seen = set()
-        kept: List[Literal] = []
-        tautology = False
-        for lit in lits:
-            if -lit in seen:
-                tautology = True
-                break
-            if lit not in seen:
-                seen.add(lit)
-                kept.append(Literal.from_int(lit))
-        if tautology:
+        kept = dict.fromkeys(lits)
+        if any(-lit in kept for lit in kept):
             continue
         if not kept:
             if is_hard:
@@ -174,13 +130,12 @@ def _assemble(
             else:
                 soft_offset += weight
             continue
-        if is_hard:
-            clauses.append(Clause(tuple(kept), ClauseKind.HARD))
-        else:
-            clauses.append(Clause(tuple(kept), ClauseKind.SOFT, weight))
+        clauses.append(tuple(kept))
+        weights.append(0 if is_hard else weight)
     return Formula(
         num_vars=num_vars,
         clauses=tuple(clauses),
+        weights=tuple(weights),
         soft_offset=soft_offset,
         has_empty_hard=has_empty_hard,
     )
@@ -317,9 +272,9 @@ def write_wcnf(formula: Formula) -> str:
         lines.append("h 0")
     if formula.soft_offset:
         lines.append(f"{formula.soft_offset} 0")
-    for clause in formula.clauses:
-        body = " ".join(str(lit) for lit in clause.ints())
-        prefix = "h" if clause.is_hard else str(clause.weight)
+    for clause, weight in zip(formula.clauses, formula.weights):
+        body = " ".join(map(str, clause))
+        prefix = str(weight) if weight else "h"
         lines.append(f"{prefix} {body} 0")
     return "\n".join(lines) + "\n" if lines else ""
 
@@ -340,16 +295,14 @@ def evaluate_cost(
     if formula.has_empty_hard:
         return INFEASIBLE
     cost = formula.soft_offset
-    for clause in formula.clauses:
-        satisfied = False
-        for lit in clause.literals:
-            if assignment[lit.var - 1] == lit.positive:
-                satisfied = True
+    for clause, weight in zip(formula.clauses, formula.weights):
+        for lit in clause:
+            if assignment[abs(lit) - 1] == (lit > 0):
                 break
-        if not satisfied:
-            if clause.kind is ClauseKind.HARD:
+        else:
+            if not weight:
                 return INFEASIBLE
-            cost += clause.weight
+            cost += weight
     return cost
 
 

@@ -4,16 +4,15 @@ Assignments are enumerated as integers whose bit ``v - 1`` is the value of
 variable ``v``.  Enumeration is vectorised over blocks of assignments, with
 clause falsification evaluated as boolean masks and costs accumulated in
 unsigned 64-bit counters (the formula constructor guarantees the total soft
-weight fits).
+weight fits).  numpy is imported on the first call, so importing the
+package (and the command line front end) does not load it.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-import numpy as np
-
-from .formula import INFEASIBLE, ClauseKind, Formula
+from .formula import INFEASIBLE, Formula
 
 #: Refuse instances with more variables than this (2**26 assignments).
 MAX_ENUM_VARS = 26
@@ -32,6 +31,8 @@ def exact_solve(
     Raises ValueError when the formula has more than ``MAX_ENUM_VARS``
     variables.
     """
+    import numpy as np
+
     n = formula.num_vars
     if n > MAX_ENUM_VARS:
         raise ValueError(
@@ -55,16 +56,16 @@ def exact_solve(
         }
         feasible = np.ones(len(indices), dtype=bool)
         cost = np.full(len(indices), offset, dtype=np.uint64)
-        for clause in formula.clauses:
+        for clause, weight in zip(formula.clauses, formula.weights):
             falsified = None
-            for lit in clause.literals:
-                col = value[lit.var]
-                miss = ~col if lit.positive else col
+            for lit in clause:
+                col = value[abs(lit)]
+                miss = ~col if lit > 0 else col
                 falsified = miss if falsified is None else (falsified & miss)
-            if clause.kind is ClauseKind.HARD:
+            if not weight:
                 feasible &= ~falsified
             else:
-                cost += falsified * np.uint64(clause.weight)
+                cost += falsified * np.uint64(weight)
         if not feasible.any():
             continue
         feasible_costs = cost[feasible]

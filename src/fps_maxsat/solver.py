@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from .engine import SearchState, WeightingParams
+from .engine import SearchState
 from .formula import INFEASIBLE, Formula, evaluate_cost
 
 
@@ -69,7 +69,6 @@ class SolverConfig:
     time_limit: float = 300.0
     max_flips: Optional[int] = None
     seed: int = 1
-    weighting: Optional[WeightingParams] = None
 
     def __post_init__(self) -> None:
         if self.sc_num < 1:
@@ -101,24 +100,6 @@ class RunResult:
     elapsed_s: float
     time_to_best_s: float
     improvement_trace: List[Tuple[float, int]] = field(default_factory=list)
-
-
-def sample_falsified_clauses(
-    state: SearchState, sc_num: int, rng: random.Random
-) -> List[int]:
-    """``sc_num`` clause ids drawn uniformly with replacement.
-
-    Draws from the falsified hard clauses when any exist, else from the
-    falsified soft clauses.  Raises ValueError when nothing is falsified.
-    """
-    pool = state.falsified_hard.items
-    if not pool:
-        pool = state.falsified_soft.items
-    if not pool:
-        raise ValueError("no falsified clauses to sample")
-    k = len(pool)
-    r = rng.random
-    return [pool[int(r() * k)] for _ in range(sc_num)]
 
 
 def bms_pick(
@@ -294,10 +275,7 @@ def solve(
     if config is None:
         config = SolverConfig()
     rng = random.Random(config.seed)
-    weighting = config.weighting
-    if weighting is None:
-        weighting = WeightingParams.defaults_for(formula)
-    state = SearchState(formula, weighting, rng)
+    state = SearchState(formula, rng=rng)
     step = (
         single_flip_step
         if config.strategy is Strategy.SINGLE_FLIP

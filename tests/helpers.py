@@ -9,11 +9,12 @@ engine's case analysis.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from fps_maxsat.engine import SearchState
+from fps_maxsat.engine import IndexedSet, SearchState
 from fps_maxsat.formula import (
     INFEASIBLE,
     Formula,
@@ -93,6 +94,28 @@ def assert_indexed_set_ok(iset) -> None:
     assert len(iset.items) == len(iset.pos)
     for i, x in enumerate(iset.items):
         assert iset.pos[x] == i
+
+
+def flipped_copy(state: SearchState, x: int) -> SearchState:
+    """A copy of ``state`` with ``x`` really flipped; ``state`` is untouched.
+
+    Only the fields ``flip`` mutates in place are copied (a deep copy of
+    the whole state is two orders of magnitude slower); the rest, such as
+    the clause tables and the dynamic weights, are shared.
+    """
+    twin = copy.copy(state)
+    for name in ("assign", "score", "sat_count", "crit_var"):
+        setattr(twin, name, list(getattr(state, name)))
+    for name in ("falsified_hard", "falsified_soft", "good_vars"):
+        setattr(twin, name, IndexedSet(getattr(state, name).items))
+    twin.flip(x)
+    return twin
+
+
+def probe_reference(state: SearchState, x: int) -> Dict[int, int]:
+    """What ``probed_positive_scores(x)`` must return, by a real flip."""
+    twin = flipped_copy(state, x)
+    return {v: twin.score[v] for v in twin.good_vars.items}
 
 
 def snapshot(state: SearchState) -> Dict[str, object]:
@@ -210,8 +233,9 @@ def conflicted_weighted_instance(
     """
     base = planted_formula(rng, n, m_hard, m_soft, weighted=True,
                            max_weight=max_weight)
-    soft = [(c.weight, list(c.ints())) for c in base.clauses if not c.is_hard]
-    hard = [list(c.ints()) for c in base.clauses if c.is_hard]
+    clauses = list(zip(base.clauses, base.weights))
+    soft = [(w, list(c)) for c, w in clauses if w]
+    hard = [list(c) for c, w in clauses if not w]
     for v in rng.sample(range(1, n + 1), min(num_conflicts, n)):
         soft.append((rng.randint(1, max_weight), [v]))
         soft.append((rng.randint(1, max_weight), [-v]))

@@ -15,6 +15,8 @@ from fps_maxsat.formula import INFEASIBLE, Formula, parse_wcnf
 from helpers import (
     assert_indexed_set_ok,
     assert_state_consistent,
+    flipped_copy,
+    probe_reference,
     random_formula,
     rescan_scores,
     snapshot,
@@ -125,6 +127,8 @@ class TestInit:
         f = parse_wcnf("h 1 2 0\n3 -1 0\n5 2 0\n")
         st = SearchState(f, rng=random.Random(0))
         assert st.dyn_weight == [4, 3, 5]
+        # the formula's clause and weight tuples are shared, not copied
+        assert st.lits is f.clauses and st.soft_weight is f.weights
 
     def test_unweighted_initial_weights(self):
         f = parse_wcnf("h 1 2 0\n1 -1 0\n1 2 0\n")
@@ -220,14 +224,17 @@ class TestFlip:
 
 
 class TestProbe:
-    def test_probe_pair_is_identity(self):
+    def test_probe_leaves_state_identical(self):
         rng = random.Random(41)
         for _ in range(25):
             f = random_formula(rng, max_vars=12, max_clauses=40)
             st = SearchState(f, rng=rng)
+            x = rng.randint(1, f.num_vars)
             before = snapshot(st)
-            token = st.begin_probe(rng.randint(1, f.num_vars))
-            st.end_probe(token)
+            st.probed_positive_scores(x)
+            assert snapshot(st) == before
+            # the copy-and-flip reference leaves the original alone too
+            flipped_copy(st, x)
             assert snapshot(st) == before
 
     def test_probed_scores_match_rescan_of_flipped(self):
@@ -236,44 +243,31 @@ class TestProbe:
             f = random_formula(rng, max_vars=10, max_clauses=30)
             st = SearchState(f, rng=rng)
             x = rng.randint(1, f.num_vars)
-            token = st.begin_probe(x)
-            # the probed state IS the flipped state; the independent
-            # reference recomputes scores from its assignment
-            assert list(st.score) == rescan_scores(st)
-            assert set(st.good_vars.items) == {
-                v for v in range(1, f.num_vars + 1) if st.score[v] > 0
+            twin = flipped_copy(st, x)
+            # the flipped copy's incremental scores match an independent
+            # recomputation from its assignment, and the probe agrees
+            ref = rescan_scores(twin)
+            assert list(twin.score) == ref
+            assert set(twin.good_vars.items) == {
+                v for v in range(1, f.num_vars + 1) if ref[v] > 0
             }
-            st.end_probe(token)
+            assert st.probed_positive_scores(x) == {
+                v: ref[v] for v in range(1, f.num_vars + 1) if ref[v] > 0
+            }
 
     def test_probe_never_touches_best_or_flips(self):
         st = SearchState(soft_unit(), assignment=[False])
         assert st.best_cost == 1
-        token = st.begin_probe(1)
-        # probed state is feasible with cost 0, strictly better
-        assert st.soft_falsified_weight == 0
-        st.end_probe(token)
+        # the probed state is feasible with cost 0, strictly better
+        assert flipped_copy(st, 1).current_cost == 0
+        st.probed_positive_scores(1)
         assert st.best_cost == 1 and st.flips == 0
-
-    def test_probe_errors(self):
-        st = SearchState(soft_unit(), assignment=[False])
-        with pytest.raises(RuntimeError, match="no probe"):
-            st.end_probe(None)
-        token = st.begin_probe(1)
-        with pytest.raises(RuntimeError, match="nest"):
-            st.begin_probe(1)
-        with pytest.raises(RuntimeError, match="token"):
-            st.end_probe(object())
-        with pytest.raises(RuntimeError, match="probe"):
-            st.flip(1)
-        with pytest.raises(RuntimeError, match="probe"):
-            st.update_weights(random.Random(0))
-        st.end_probe(token)
-        st.flip(1)  # fine again
 
     def test_probe_out_of_range(self):
         st = SearchState(soft_unit(), assignment=[False])
-        with pytest.raises(ValueError):
-            st.begin_probe(9)
+        for x in (0, -1):
+            with pytest.raises(ValueError):
+                st.probed_positive_scores(x)
 
 
 class TestProbedPositiveScores:
@@ -289,10 +283,11 @@ class TestProbedPositiveScores:
                     st.flip(rng.randint(1, f.num_vars))
             for x in range(1, f.num_vars + 1):
                 fast = st.probed_positive_scores(x)
-                token = st.begin_probe(x)
-                slow = {v: st.score[v] for v in st.good_vars.items}
-                st.end_probe(token)
-                assert fast == slow, x
+                assert fast == probe_reference(st, x), x
+                ref = rescan_scores(flipped_copy(st, x))
+                assert fast == {
+                    v: ref[v] for v in range(1, f.num_vars + 1) if ref[v] > 0
+                }, x
 
     def test_is_read_only(self):
         st = SearchState(soft_unit(), assignment=[False])
@@ -388,10 +383,7 @@ class TestConsistencyFuzz:
                 if op < 0.65:
                     st.flip(rng.randint(1, f.num_vars))
                 elif op < 0.80:
-                    x = rng.randint(1, f.num_vars)
-                    st.probed_positive_scores(x)
-                    token = st.begin_probe(x)
-                    st.end_probe(token)
+                    st.probed_positive_scores(rng.randint(1, f.num_vars))
                 else:
                     st.update_weights(rng)
                 if i % 100 == 99:

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 
 from fps_maxsat.formula import (
     INFEASIBLE,
-    Clause,
-    ClauseKind,
     Formula,
-    Literal,
     ParseError,
     evaluate_cost,
     is_feasible,
@@ -38,17 +35,15 @@ class TestParsing:
         f = example_formula()
         assert f.num_vars == 2
         assert f.num_clauses == 3
-        c1, c2, c3 = f.clauses
-        assert c1.is_hard and c1.ints() == (1, 2)
-        assert not c2.is_hard and c2.weight == 3 and c2.ints() == (-1,)
-        assert not c3.is_hard and c3.weight == 5 and c3.ints() == (2,)
+        assert f.clauses == ((1, 2), (-1,), (2,))
+        assert f.weights == (0, 3, 5)  # 0 marks the hard clause
 
     def test_new_dialect_example(self):
         f = parse_wcnf("h 1 2 0\n3 -1 0\n")
         assert f.num_vars == 2
         assert f.num_clauses == 2
-        assert f.clauses[0].is_hard and f.clauses[0].ints() == (1, 2)
-        assert f.clauses[1].weight == 3 and f.clauses[1].ints() == (-1,)
+        assert f.clauses == ((1, 2), (-1,))
+        assert f.weights == (0, 3)
 
     def test_bytes_input(self):
         assert parse_wcnf(OLD_EXAMPLE.encode()) == example_formula()
@@ -57,7 +52,7 @@ class TestParsing:
         text = "c a comment\n\nc another\nh 1 0\n\n2 -1 0\n"
         f = parse_wcnf(text)
         assert f.num_clauses == 2
-        assert f.clauses[0].is_hard
+        assert f.weights == (0, 2)
 
     def test_is_weighted(self):
         assert example_formula().is_weighted
@@ -124,18 +119,18 @@ class TestParseErrors:
 
     def test_single_huge_weight_is_fine(self):
         f = parse_wcnf(f"{2**64 - 1} 1 0\n")
-        assert f.clauses[0].weight == 2**64 - 1
+        assert f.weights == (2**64 - 1,)
 
 
 class TestNormalisation:
     def test_duplicate_literals_dropped(self):
-        f = parse_wcnf("h 1 1 2 0\n")
-        assert f.clauses[0].ints() == (1, 2)
+        f = parse_wcnf("h 1 -2 1 -2 3 0\n")
+        assert f.clauses == ((1, -2, 3),)  # first-occurrence order kept
 
     def test_tautology_dropped(self):
         f = parse_wcnf("h 1 -1 0\n2 1 -2 2 0\nh 2 0\n")
         assert f.num_clauses == 1
-        assert f.clauses[0].is_hard and f.clauses[0].ints() == (2,)
+        assert f.clauses == ((2,),) and f.weights == (0,)
 
     def test_empty_hard_clause_flags_infeasible(self):
         f = parse_wcnf("h 0\nh 1 0\n")
@@ -190,7 +185,7 @@ class TestRoundTrip:
         f = parse_wcnf("h 0\n5 0\nh 1 0\n")
         g = parse_wcnf(write_wcnf(f))
         assert g.has_empty_hard and g.soft_offset == 5
-        assert g.clauses == f.clauses
+        assert g == f
 
     def test_fuzzed_round_trip_both_dialects(self):
         rng = random.Random(4242)
@@ -201,14 +196,17 @@ class TestRoundTrip:
             # old and new dialect of the same instance agree up to the
             # declared variable count
             assert f_old.clauses == f_new.clauses
+            assert f_old.weights == f_new.weights
             assert f_old.soft_offset == f_new.soft_offset
             assert f_old.has_empty_hard == f_new.has_empty_hard
-            # serialize and reparse: identical formula
-            for f in (f_new, f_old):
-                g = parse_wcnf(write_wcnf(f))
-                assert g.clauses == f.clauses
-                assert g.soft_offset == f.soft_offset
-                assert g.has_empty_hard == f.has_empty_hard
+            # serialize and reparse: identical formula (the new dialect
+            # declares no variable count, so it is compared field by field)
+            assert parse_wcnf(write_wcnf(f_new)) == f_new
+            g = parse_wcnf(write_wcnf(f_old))
+            assert g.clauses == f_old.clauses
+            assert g.weights == f_old.weights
+            assert g.soft_offset == f_old.soft_offset
+            assert g.has_empty_hard == f_old.has_empty_hard
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -229,6 +227,7 @@ class TestRoundTrip:
         # num_vars may legitimately shrink (a variable seen only in a
         # dropped tautology is not re-emitted); everything else is identical
         assert g.clauses == f.clauses
+        assert g.weights == f.weights
         assert g.soft_offset == f.soft_offset
         assert g.has_empty_hard == f.has_empty_hard
 
@@ -262,17 +261,3 @@ class TestAgainstBruteForce:
         best, witness = brute_force_optimum(example_formula())
         assert best == 0 and witness == [False, True]
 
-
-class TestLiteralAndClause:
-    def test_literal_from_int(self):
-        assert Literal.from_int(3) == Literal(3, True)
-        assert Literal.from_int(-7) == Literal(7, False)
-        assert Literal.from_int(-7).negated().to_int() == 7
-        with pytest.raises(ValueError):
-            Literal.from_int(0)
-
-    def test_clause_kinds(self):
-        hard = Clause((Literal(1, True),), ClauseKind.HARD)
-        soft = Clause((Literal(1, True),), ClauseKind.SOFT, 4)
-        assert hard.is_hard and not soft.is_hard
-        assert soft.weight == 4

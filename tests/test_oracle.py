@@ -1,9 +1,13 @@
 """Exhaustive reference solver: exactness, witnesses, and limits."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import fps_maxsat
 from fps_maxsat.formula import INFEASIBLE, Formula, evaluate_cost, parse_wcnf
 from fps_maxsat.oracle import MAX_ENUM_VARS, exact_solve
 
@@ -94,3 +98,21 @@ class TestEnumerationLimits:
         cost, witness = exact_solve(f)
         assert cost == 5
         assert witness == [False] * (n - 1) + [True]
+
+
+class TestLazyNumpy:
+    def test_cli_import_does_not_load_numpy(self):
+        # numpy is imported inside exact_solve, so every command but
+        # `oracle` starts without it; only a fresh interpreter shows that.
+        # The child imports the same package copy as this process.
+        root = os.path.dirname(os.path.dirname(fps_maxsat.__file__))
+        path = os.pathsep.join(
+            filter(None, [root, os.environ.get("PYTHONPATH")])
+        )
+        code = "import sys, fps_maxsat.cli; print('numpy' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
