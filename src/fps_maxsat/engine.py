@@ -144,7 +144,6 @@ class SearchState:
         "num_vars",
         "lits",
         "clause_vars",
-        "is_hard",
         "soft_weight",
         "pos_occ",
         "neg_occ",
@@ -183,7 +182,6 @@ class SearchState:
         # soft_weight[c] is 0 for a hard clause.
         lits = formula.clauses
         soft_weight = formula.weights
-        is_hard = [not w for w in soft_weight]
         hard_init = weighting.hard_init
         if weighting.soft_init_from_weight:
             dyn_weight = [w or hard_init for w in soft_weight]
@@ -199,7 +197,6 @@ class SearchState:
                     neg_occ[-lit].append(c)
         self.lits = lits
         self.clause_vars = [tuple(map(abs, clause)) for clause in lits]
-        self.is_hard = is_hard
         self.soft_weight = soft_weight
         self.dyn_weight = dyn_weight
         self.init_weight = dyn_weight.copy()
@@ -240,7 +237,7 @@ class SearchState:
                 w = dyn_weight[c]
                 for lit in clause_lits:
                     score[lit if lit > 0 else -lit] += w
-                if is_hard[c]:
+                if not soft_weight[c]:
                     self.falsified_hard.add(c)
                 else:
                     self.falsified_soft.add(c)
@@ -285,6 +282,22 @@ class SearchState:
 
     # -- flips ----------------------------------------------------------
 
+    def flip(self, x: int) -> None:
+        """Flip variable ``x``, update all incremental structures.
+
+        Counts toward ``flips`` and may update the best solution.
+        """
+        if not 1 <= x <= self.num_vars:
+            raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
+        self._apply_flip(x)
+        self.flips += 1
+        if self.falsified_hard.items or self._never_feasible:
+            return
+        cost = self.soft_falsified_weight + self._offset
+        if cost < self.best_cost:
+            self.best_cost = cost
+            self.best_assign = self.assign.copy()
+
     def probed_positive_scores(self, x: int) -> Dict[int, int]:
         """Positive-score variables of the hypothetical state with ``x`` flipped.
 
@@ -300,43 +313,14 @@ class SearchState:
         sat_count = self.sat_count
         dyn_weight = self.dyn_weight
         clause_vars = self.clause_vars
+        delta: Dict[int, int] = {}
+        get = delta.get
         if assign[x]:
             inc_list = self.neg_occ[x]
             dec_list = self.pos_occ[x]
         else:
             inc_list = self.pos_occ[x]
             dec_list = self.neg_occ[x]
-        if not self.good_vars.items:
-            # No score is positive now (the usual case at a local optimum)
-            # and no weight is negative, so a variable other than x can
-            # turn positive only through its gains: it stops being the
-            # critical variable of a clause, or a clause that x alone
-            # satisfies turns false.  When the gains alone lift nobody
-            # above 0, the result is at most {x}: skip the losses.
-            gain: Dict[int, int] = {}
-            for c in inc_list:
-                if sat_count[c] == 1:
-                    z = self.crit_var[c]
-                    if z in gain:
-                        gain[z] += dyn_weight[c]
-                    else:
-                        gain[z] = dyn_weight[c]
-            for c in dec_list:
-                if sat_count[c] == 1:
-                    w = dyn_weight[c]
-                    for y in clause_vars[c]:
-                        if y != x:
-                            if y in gain:
-                                gain[y] += w
-                            else:
-                                gain[y] = w
-            for y, g in gain.items():
-                if score[y] + g > 0:
-                    break
-            else:
-                sx = -score[x]
-                return {x: sx} if sx > 0 else {}
-        delta: Dict[int, int] = {}
         for c in inc_list:
             k = sat_count[c]
             if k == 0:
@@ -344,17 +328,11 @@ class SearchState:
                 w = dyn_weight[c]
                 for y in clause_vars[c]:
                     if y != x:
-                        if y in delta:
-                            delta[y] -= w
-                        else:
-                            delta[y] = -w
+                        delta[y] = get(y, 0) - w
             elif k == 1:
                 # the old critical variable is freed
                 z = self.crit_var[c]
-                if z in delta:
-                    delta[z] += dyn_weight[c]
-                else:
-                    delta[z] = dyn_weight[c]
+                delta[z] = get(z, 0) + dyn_weight[c]
         lits = self.lits
         for c in dec_list:
             k = sat_count[c]
@@ -363,19 +341,13 @@ class SearchState:
                 w = dyn_weight[c]
                 for y in clause_vars[c]:
                     if y != x:
-                        if y in delta:
-                            delta[y] += w
-                        else:
-                            delta[y] = w
+                        delta[y] = get(y, 0) + w
             elif k == 2:
                 # the surviving true literal becomes critical
                 for lit in lits[c]:
                     y = lit if lit > 0 else -lit
                     if y != x and assign[y] == (lit > 0):
-                        if y in delta:
-                            delta[y] -= dyn_weight[c]
-                        else:
-                            delta[y] = -dyn_weight[c]
+                        delta[y] = get(y, 0) - dyn_weight[c]
                         break
         pos: Dict[int, int] = {}
         for y, d in delta.items():
@@ -390,16 +362,10 @@ class SearchState:
             pos[x] = sx
         return pos
 
-    def flip(self, x: int) -> None:
-        """Flip variable ``x``, update all incremental structures.
-
-        Counts toward ``flips`` and may update the best solution.
-        """
+    def _apply_flip(self, x: int) -> None:
         # Hot path.  Locals beat attribute loads, and the good_vars set
         # surgery is inlined: membership is exactly score > 0, so a
         # sign crossing tells us whether the variable is present.
-        if not 1 <= x <= self.num_vars:
-            raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
         assign = self.assign
         new_val = not assign[x]
         assign[x] = new_val
@@ -409,7 +375,7 @@ class SearchState:
         dyn_weight = self.dyn_weight
         lits = self.lits
         clause_vars = self.clause_vars
-        is_hard = self.is_hard
+        soft_weight = self.soft_weight
         gv = self.good_vars
         gv_items = gv.items
         gv_pos = gv.pos
@@ -445,18 +411,11 @@ class SearchState:
                         gv_items[i] = last
                         gv_pos[last] = i
                 crit_var[c] = x
-                # IndexedSet.discard, inlined: c is in the set.
-                if is_hard[c]:
-                    fs = self.falsified_hard
+                if not soft_weight[c]:
+                    self.falsified_hard.discard(c)
                 else:
-                    fs = self.falsified_soft
-                    self.soft_falsified_weight -= self.soft_weight[c]
-                fs_items = fs.items
-                i = fs.pos.pop(c)
-                last = fs_items.pop()
-                if last != c:
-                    fs_items[i] = last
-                    fs.pos[last] = i
+                    self.falsified_soft.discard(c)
+                    self.soft_falsified_weight -= soft_weight[c]
             elif k == 1:
                 # No longer critical: the old critical variable is freed.
                 z = crit_var[c]
@@ -487,14 +446,11 @@ class SearchState:
                 if ns > 0 >= s:
                     gv_pos[x] = len(gv_items)
                     gv_items.append(x)
-                # IndexedSet.add, inlined: c is not in the set.
-                if is_hard[c]:
-                    fs = self.falsified_hard
+                if not soft_weight[c]:
+                    self.falsified_hard.add(c)
                 else:
-                    fs = self.falsified_soft
-                    self.soft_falsified_weight += self.soft_weight[c]
-                fs.pos[c] = len(fs.items)
-                fs.items.append(c)
+                    self.falsified_soft.add(c)
+                    self.soft_falsified_weight += soft_weight[c]
             elif k == 2:
                 # Clause becomes critical: find the surviving true literal.
                 for lit in lits[c]:
@@ -511,14 +467,6 @@ class SearchState:
                                 gv_pos[last] = i
                         crit_var[c] = y
                         break
-
-        self.flips += 1
-        if self.falsified_hard.items or self._never_feasible:
-            return
-        cost = self.soft_falsified_weight + self._offset
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_assign = assign.copy()
 
     # -- weighting ------------------------------------------------------
 

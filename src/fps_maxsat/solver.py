@@ -33,7 +33,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .engine import SearchState
 from .formula import INFEASIBLE, Formula, evaluate_cost
@@ -112,9 +112,8 @@ def bms_pick(
 
     ``scores`` is anything subscriptable by variable (the engine's score
     list, or a mapping of probed scores).  Ties go to the earliest drawn
-    maximum.  A singleton is returned without consuming randomness;
-    otherwise ``rng`` ends exactly where ``sv_num`` calls of ``random()``
-    leave it.  Raises ValueError on an empty candidate set.
+    maximum.  A singleton is returned without consuming randomness.
+    Raises ValueError on an empty candidate set.
     """
     k = len(candidates)
     if k == 0:
@@ -122,18 +121,11 @@ def bms_pick(
     if k == 1:
         return candidates[0]
     vals = [scores[v] for v in candidates]
-    top = max(vals)
     r = rng.random
     i = int(r() * k)
     best = candidates[i]
     best_score = vals[i]
-    for left in range(sv_num - 1, 0, -1):
-        if best_score == top:
-            # No later draw can displace a drawn maximum: advance the
-            # generator past the remaining draws without making them
-            # (one random() consumes two 32-bit words, as do 64 bits).
-            rng.getrandbits(64 * left)
-            break
+    for _ in range(sv_num - 1):
         i = int(r() * k)
         s = vals[i]
         if s > best_score:
@@ -157,7 +149,8 @@ def _random_walk_escape(state: SearchState, rng: random.Random) -> bool:
     score = state.score
     best_score = None
     ties: List[int] = []
-    for y in state.clause_vars[c]:
+    for lit in state.lits[c]:
+        y = lit if lit > 0 else -lit
         s = score[y]
         if best_score is None or s > best_score:
             best_score = s
@@ -210,19 +203,20 @@ def fps_step(
     # First-level candidates: sc_num falsified clauses drawn uniformly with
     # replacement (hard ones take priority), one random variable from each,
     # deduplicated in sampling order.  Not refilled after dedup.
-    # A dict keeps its keys in first-insertion order, so it deduplicates
-    # in sampling order by itself.
-    fv: Dict[int, None] = {}
+    fv: List[int] = []
+    seen = set()
     clause_vars = state.clause_vars
     r = rng.random
     for _ in range(config.sc_num):
         members = clause_vars[pool[int(r() * k)]]
-        fv[members[int(r() * len(members))]] = None
+        y = members[int(r() * len(members))]
+        if y not in seen:
+            seen.add(y)
+            fv.append(y)
 
-    # The best-scoring candidate; ties go to the first sampled.
-    v1 = next(iter(fv))
+    v1 = fv[0]
     s1 = score[v1]
-    for y in fv:
+    for y in fv[1:]:
         s = score[y]
         if s > s1:
             v1 = y

@@ -57,7 +57,7 @@ def rescan(state: SearchState) -> Dict[str, object]:
         k = sum(1 for lit in lits if (lit > 0) == assign[abs(lit)])
         sat_count.append(k)
         if k == 0:
-            if state.is_hard[c]:
+            if not state.soft_weight[c]:
                 falsified_hard.add(c)
             else:
                 falsified_soft.add(c)
