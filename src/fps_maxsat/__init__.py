@@ -12,7 +12,9 @@ The package is organised around five pieces:
 - :mod:`fps_maxsat.solver`: the search loops.  A single-flip baseline and a
   two-level look-ahead strategy that samples falsified clauses, probes
   candidate first flips, and picks a partner flip with bounded-sample
-  selection.  Ablation toggles expose the strategy's moving parts.
+  selection.  ``SolverConfig.mode`` picks one of the five named
+  configurations in ``MODES``: the strategy, the baseline, or one of three
+  ablations of the strategy's moving parts.
 - :mod:`fps_maxsat.oracle`: exact optimum for small instances by exhaustive
   enumeration, used to validate the heuristics.  It imports numpy when
   called, not when the package is imported.
@@ -30,28 +32,19 @@ from .formula import (
     write_wcnf,
 )
 from .engine import SearchState, WeightingParams
-from .solver import (
-    EscapePolicy,
-    RunResult,
-    RunStatus,
-    SolverConfig,
-    Strategy,
-    solve,
-)
+from .solver import RunResult, RunStatus, SolverConfig, solve
 from .oracle import exact_solve
 
 __version__ = "0.1.0"
 
 __all__ = [
     "INFEASIBLE",
-    "EscapePolicy",
     "Formula",
     "ParseError",
     "RunResult",
     "RunStatus",
     "SearchState",
     "SolverConfig",
-    "Strategy",
     "WeightingParams",
     "evaluate_cost",
     "exact_solve",

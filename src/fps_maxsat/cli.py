@@ -19,7 +19,6 @@ from typing import List, Optional
 
 from .formula import ParseError, parse_wcnf
 from .harness import (
-    MODES,
     bench,
     config_for_mode,
     discover_instances,
@@ -29,7 +28,7 @@ from .harness import (
     write_records_csv,
 )
 from .oracle import exact_solve
-from .solver import RunStatus, solve
+from .solver import MODES, RunStatus, solve
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2

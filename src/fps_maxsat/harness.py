@@ -1,8 +1,8 @@
 """Evaluation tooling: batch runs, relative scoring, win counting.
 
 A benchmark run produces one :class:`InstanceRecord` per
-(instance, mode, seed) cell.  Modes are named solver configurations; the
-ablation modes expose the look-ahead strategy's moving parts.
+(instance, mode, seed) cell.  Modes are the named solver configurations of
+:data:`fps_maxsat.solver.MODES`.
 
 Scoring follows the incomplete-track convention: an infeasible result
 scores 0, a feasible result scores ``(best_known + 1) / (achieved + 1)``,
@@ -21,26 +21,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .formula import INFEASIBLE, parse_wcnf
-from .solver import (
-    EscapePolicy,
-    RunStatus,
-    SolverConfig,
-    Strategy,
-    solve,
-)
-
-#: Named solver configurations.  ``fps`` is the full strategy; the other
-#: modes disable one ingredient each, plus the plain single-flip baseline.
-MODES: Dict[str, Dict[str, object]] = {
-    "fps": {"strategy": Strategy.FPS},
-    "single": {"strategy": Strategy.SINGLE_FLIP},
-    "fps-rw": {
-        "strategy": Strategy.FPS,
-        "escape": EscapePolicy.RANDOM_WALK,
-    },
-    "fps-always": {"strategy": Strategy.FPS, "lookahead_always": True},
-    "fps-nostop": {"strategy": Strategy.FPS, "early_stop": False},
-}
+from .solver import MODES, RunStatus, SolverConfig, solve
 
 #: Environment variable capping benchmark worker processes.
 THREADS_ENV = "FPS_MAXSAT_THREADS"
@@ -70,16 +51,12 @@ class InstanceRecord:
 
 
 def config_for_mode(mode: str, **overrides) -> SolverConfig:
-    """Build a :class:`SolverConfig` from a mode label plus overrides."""
-    try:
-        base = MODES[mode]
-    except KeyError:
-        raise ValueError(
-            f"unknown mode {mode!r}; known: {', '.join(sorted(MODES))}"
-        ) from None
-    kwargs = dict(base)
-    kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return SolverConfig(**kwargs)
+    """Build a :class:`SolverConfig` from a mode label plus overrides.
+
+    Overrides given as None keep the :class:`SolverConfig` default.
+    """
+    kwargs = {k: v for k, v in overrides.items() if v is not None}
+    return SolverConfig(mode=mode, **kwargs)
 
 
 def run_instance(

@@ -7,24 +7,25 @@ escape.  They differ in the escape.
 The single-flip baseline random-walks: pick a random falsified clause
 (hard first) and flip its best variable.
 
-The look-ahead strategy (``Strategy.FPS``) samples ``sc_num`` falsified
-clauses, draws one variable from each (deduplicated, order preserved), and
-pseudo-flips each candidate to see one step further: after the pseudo flip,
-a partner variable is picked from the now-positive-score set by bounded
-sampling (``sv_num`` draws, best wins).  A candidate-plus-partner pair whose
+The look-ahead strategy samples ``sc_num`` falsified clauses, draws one
+variable from each (deduplicated, order preserved), and pseudo-flips each
+candidate to see one step further: after the pseudo flip, a partner
+variable is picked from the now-positive-score set by bounded sampling
+(``sv_num`` draws, best wins).  A candidate-plus-partner pair whose
 combined score is positive is taken immediately (early stop); otherwise the
 step falls back to the best of the single candidate and the best pair seen,
 preferring the pair on ties.
 
-Ablation toggles in :class:`SolverConfig`:
+:data:`MODES` names the configurations, set by ``SolverConfig.mode``:
 
-- ``escape=EscapePolicy.RANDOM_WALK``: keep the look-ahead and its early
-  stop, but when no early stop fires, escape by random walk instead of the
-  best-of-sampled choice.
-- ``lookahead_always=True``: run the look-ahead procedure even when
-  ``good_vars`` is nonempty (weights are still only updated at local optima).
-- ``early_stop=False``: probe every candidate, then flip the best pair if
-  its combined score is positive, falling back to the usual comparison.
+- ``fps``: the look-ahead strategy as described above.
+- ``single``: the single-flip baseline.
+- ``fps-rw``: keep the look-ahead and its early stop, but when no early
+  stop fires, escape by random walk instead of the best-of-sampled choice.
+- ``fps-always``: run the look-ahead even when ``good_vars`` is nonempty
+  (weights are still only updated at local optima).
+- ``fps-nostop``: probe every candidate, then flip the best pair if its
+  combined score is positive, falling back to the usual comparison.
 """
 
 from __future__ import annotations
@@ -39,16 +40,8 @@ from .engine import SearchState
 from .formula import INFEASIBLE, Formula, evaluate_cost
 
 
-class Strategy(Enum):
-    SINGLE_FLIP = "single-flip"
-    FPS = "fps"
-
-
-class EscapePolicy(Enum):
-    """How a look-ahead step escapes when no early stop fires."""
-
-    BEST_OF_SAMPLED = "best-of-sampled"
-    RANDOM_WALK = "random-walk"
+#: Named solver configurations (see the module docstring).
+MODES = ("fps", "single", "fps-rw", "fps-always", "fps-nostop")
 
 
 class RunStatus(Enum):
@@ -60,17 +53,18 @@ class RunStatus(Enum):
 class SolverConfig:
     """Knobs for one solver run.  Defaults follow the tuned configuration."""
 
-    strategy: Strategy = Strategy.FPS
+    mode: str = "fps"
     sc_num: int = 10
     sv_num: int = 50
-    escape: EscapePolicy = EscapePolicy.BEST_OF_SAMPLED
-    lookahead_always: bool = False
-    early_stop: bool = True
     time_limit: float = 300.0
     max_flips: Optional[int] = None
     seed: int = 1
 
     def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ValueError(
+                f"unknown mode {self.mode!r}; known: {', '.join(sorted(MODES))}"
+            )
         if self.sc_num < 1:
             raise ValueError(f"sc_num must be >= 1, got {self.sc_num}")
         if self.sv_num < 1:
@@ -184,9 +178,10 @@ def fps_step(
     Returns False when every clause holds (nothing to do).  Otherwise flips
     either one variable or a candidate/partner pair and returns True.
     """
+    mode = config.mode
     gv = state.good_vars
     if gv.items:
-        if not config.lookahead_always:
+        if mode != "fps-always":
             state.flip(gv.choose(rng))
             return True
     else:
@@ -224,7 +219,7 @@ def fps_step(
 
     best_pair: Optional[Tuple[int, int]] = None
     s2 = None
-    early_stop = config.early_stop
+    stop_early = mode != "fps-nostop"
     sv_num = config.sv_num
     probe = state.probed_positive_scores
     for cand in fv:
@@ -235,7 +230,7 @@ def fps_step(
             continue
         partner = bms_pick(list(pos), pos, sv_num, rng)
         combined = score[cand] + pos[partner]
-        if early_stop and combined > 0:
+        if stop_early and combined > 0:
             state.flip(cand)
             state.flip(partner)
             return True
@@ -243,9 +238,9 @@ def fps_step(
             s2 = combined
             best_pair = (cand, partner)
 
-    if config.escape is EscapePolicy.RANDOM_WALK:
+    if mode == "fps-rw":
         return _random_walk_escape(state, rng)
-    if not early_stop and best_pair is not None and s2 > 0:
+    if not stop_early and best_pair is not None and s2 > 0:
         # With early stop disabled an improving pair still takes
         # precedence, even over a single flip of equal or better score.
         state.flip(best_pair[0])
@@ -276,11 +271,7 @@ def solve(
         config = SolverConfig()
     rng = random.Random(config.seed)
     state = SearchState(formula, rng=rng)
-    step = (
-        single_flip_step
-        if config.strategy is Strategy.SINGLE_FLIP
-        else fps_step
-    )
+    step = single_flip_step if config.mode == "single" else fps_step
 
     t0 = time.perf_counter()
     trace: List[Tuple[float, int]] = []

@@ -10,7 +10,6 @@ from fps_maxsat.cli import main
 from fps_maxsat.formula import INFEASIBLE
 from fps_maxsat.harness import (
     CSV_FIELDS,
-    MODES,
     THREADS_ENV,
     InstanceRecord,
     bench,
@@ -26,7 +25,7 @@ from fps_maxsat.harness import (
     write_records_csv,
     _worker_count,
 )
-from fps_maxsat.solver import EscapePolicy, Strategy
+from fps_maxsat.solver import MODES
 
 WORKED = "1 -1 2 0\n1 1 -2 0\n1 1 2 0\n"
 CONTRADICTION = "h 1 0\nh -1 0\n"
@@ -86,13 +85,9 @@ class TestModes:
         }
 
     def test_configs(self):
-        assert config_for_mode("fps").strategy is Strategy.FPS
-        assert config_for_mode("single").strategy is Strategy.SINGLE_FLIP
-        assert config_for_mode("fps-rw").escape is EscapePolicy.RANDOM_WALK
-        assert config_for_mode("fps-always").lookahead_always
-        assert not config_for_mode("fps-nostop").early_stop
+        for m in MODES:
+            assert config_for_mode(m).mode == m
         # everything not overridden stays at the tuned defaults
-        assert config_for_mode("fps-rw").early_stop
         assert (config_for_mode("fps").sc_num, config_for_mode("fps").sv_num) == (
             10,
             50,

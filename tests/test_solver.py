@@ -19,10 +19,9 @@ from fps_maxsat.formula import (
     write_wcnf,
 )
 from fps_maxsat.solver import (
-    EscapePolicy,
+    MODES,
     RunStatus,
     SolverConfig,
-    Strategy,
     bms_pick,
     fps_step,
     single_flip_step,
@@ -66,14 +65,14 @@ def drive_to_local_optimum(state, rng, limit=10_000):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig()
-        assert cfg.strategy is Strategy.FPS
+        assert cfg.mode == "fps"
         assert (cfg.sc_num, cfg.sv_num) == (10, 50)
-        assert cfg.escape is EscapePolicy.BEST_OF_SAMPLED
-        assert not cfg.lookahead_always and cfg.early_stop
         assert cfg.seed == 1 and cfg.max_flips is None
         assert cfg.time_limit == 300.0
 
     def test_validation(self):
+        with pytest.raises(ValueError, match="unknown mode"):
+            SolverConfig(mode="nope")
         with pytest.raises(ValueError):
             SolverConfig(sc_num=0)
         with pytest.raises(ValueError):
@@ -241,39 +240,36 @@ class TestFpsStep:
     def test_pair_preferred_on_tie(self):
         # worked instance: s1 = 0 (scores are 0 at the optimum-adjacent
         # state) and the pair has combined score 1 > 0, so early stop takes
-        # the pair; with early_stop off the pair still wins the comparison
+        # the pair; without early stop the pair still wins the comparison
         f = worked_instance()
-        for early_stop in (True, False):
+        for mode in ("fps", "fps-nostop"):
             st = SearchState(f, assignment=[False, False])
-            cfg = SolverConfig(early_stop=early_stop)
-            fps_step(st, cfg, random.Random(1))
+            fps_step(st, SolverConfig(mode=mode), random.Random(1))
             assert st.flips == 2 and st.current_cost == 0
 
     def test_early_stop_probes_fewer_candidates(self):
         f = worked_instance()
         logs = {}
-        for early_stop in (True, False):
+        for mode in ("fps", "fps-nostop"):
             st = RecordingState(f, assignment=[False, False])
-            fps_step(st, SolverConfig(early_stop=early_stop), random.Random(3))
-            logs[early_stop] = list(st.probe_log)
+            fps_step(st, SolverConfig(mode=mode), random.Random(3))
+            logs[mode] = list(st.probe_log)
         # with early stop, the scan ends at the first positive pair
-        assert len(logs[True]) == 1
-        assert len(logs[False]) >= len(logs[True])
+        assert len(logs["fps"]) == 1
+        assert len(logs["fps-nostop"]) >= len(logs["fps"])
 
     def test_random_walk_keeps_lookahead_and_early_stop(self):
         # the random-walk ablation only replaces the final selection; a
         # positive pair found during the scan is still flipped
         f = worked_instance()
         st = SearchState(f, assignment=[False, False])
-        cfg = SolverConfig(escape=EscapePolicy.RANDOM_WALK)
-        fps_step(st, cfg, random.Random(1))
+        fps_step(st, SolverConfig(mode="fps-rw"), random.Random(1))
         assert st.flips == 2 and st.current_cost == 0
 
     def test_random_walk_when_no_pair_found(self):
         f = Formula.build(num_vars=1, soft=[(1, [1]), (1, [-1])])
         st = RecordingState(f, assignment=[False])
-        cfg = SolverConfig(escape=EscapePolicy.RANDOM_WALK)
-        assert fps_step(st, cfg, random.Random(0))
+        assert fps_step(st, SolverConfig(mode="fps-rw"), random.Random(0))
         # walk flips one variable from the falsified clause
         assert st.flip_log == [1]
 
@@ -282,15 +278,14 @@ class TestFpsStep:
         # probing; the always-look-ahead ablation probes anyway and never
         # bumps weights here
         f = Formula.build(num_vars=2, soft=[(1, [1]), (1, [2])])
-        for always in (False, True):
+        for mode in ("fps", "fps-always"):
             st = RecordingState(f, assignment=[False, True])
             assert set(st.good_vars.items) == {1}
             weights_before = list(st.dyn_weight)
-            cfg = SolverConfig(lookahead_always=always)
-            assert fps_step(st, cfg, random.Random(5))
+            assert fps_step(st, SolverConfig(mode=mode), random.Random(5))
             assert st.dyn_weight == weights_before  # no update either way
             assert st.flip_log == [1]
-            if always:
+            if mode == "fps-always":
                 assert st.probe_log  # look-ahead ran
             else:
                 assert not st.probe_log
@@ -337,9 +332,9 @@ class TestSolve:
         rng = random.Random(83)
         for _ in range(12):
             f = random_formula(rng, max_vars=10, max_clauses=30)
-            for strategy in Strategy:
+            for mode in MODES:
                 cfg = SolverConfig(
-                    strategy=strategy, seed=rng.randint(1, 99), max_flips=2_000
+                    mode=mode, seed=rng.randint(1, 99), max_flips=2_000
                 )
                 res = solve(f, cfg)
                 if res.status is RunStatus.FEASIBLE:
@@ -353,15 +348,35 @@ class TestSolve:
     def test_determinism(self):
         f = planted_formula(random.Random(7), 10, 10, 16, weighted=True)
         cfg = dict(seed=12, max_flips=20_000)
-        for strategy in Strategy:
-            a = solve(f, SolverConfig(strategy=strategy, **cfg))
-            b = solve(f, SolverConfig(strategy=strategy, **cfg))
+        for mode in MODES:
+            a = solve(f, SolverConfig(mode=mode, **cfg))
+            b = solve(f, SolverConfig(mode=mode, **cfg))
             assert a.best_cost == b.best_cost
             assert a.flips == b.flips
             assert a.best_assignment == b.best_assignment
             assert [c for _, c in a.improvement_trace] == [
                 c for _, c in b.improvement_trace
             ]
+
+    def test_mode_dispatch(self, monkeypatch):
+        # solve looks the step functions up when it is called, so wrappers
+        # installed on the module (as a tracing benchmark does) take effect
+        f = worked_instance()
+        for mode in MODES:
+            calls = []
+
+            def recorder(name):
+                def step(state, config, rng):
+                    calls.append(name)
+                    return False
+                return step
+
+            monkeypatch.setattr(solver_mod, "fps_step", recorder("fps"))
+            monkeypatch.setattr(
+                solver_mod, "single_flip_step", recorder("single")
+            )
+            solve(f, SolverConfig(mode=mode, max_flips=100))
+            assert calls == ["single" if mode == "single" else "fps"], mode
 
     def test_trace_strictly_decreasing(self):
         f = planted_formula(random.Random(9), 12, 12, 20, weighted=True)
