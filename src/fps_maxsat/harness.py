@@ -14,17 +14,12 @@ is broken toward the mode that reached its best solution sooner.
 from __future__ import annotations
 
 import csv
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .formula import INFEASIBLE, parse_wcnf
 from .solver import MODES, RunStatus, SolverConfig, solve
-
-#: Environment variable capping benchmark worker processes.
-THREADS_ENV = "FPS_MAXSAT_THREADS"
 
 CSV_FIELDS = [
     "instance",
@@ -105,14 +100,7 @@ def _run_task(task) -> InstanceRecord:
 
 
 def _worker_count(jobs: Optional[int], tasks: int) -> int:
-    cap = os.environ.get(THREADS_ENV)
-    limit = max(1, int(cap)) if cap else None
-    if jobs is None:
-        jobs = limit or 1
-    jobs = max(1, jobs)
-    if limit is not None:
-        jobs = min(jobs, limit)
-    return min(jobs, max(1, tasks))
+    return min(max(1, jobs or 1), max(1, tasks))
 
 
 def run_batch(
@@ -120,13 +108,15 @@ def run_batch(
 ) -> List[InstanceRecord]:
     """Run (path, mode, seed, time_limit, max_flips, sc, sv) task tuples.
 
-    Results keep task order.  Worker processes are used when more than one
-    job is allowed; the ``FPS_MAXSAT_THREADS`` environment variable caps
-    the worker count.
+    Results keep task order.  Worker processes are used when ``jobs`` is
+    more than one, at most one per task.
     """
     workers = _worker_count(jobs, len(tasks))
     if workers <= 1:
         return [_run_task(t) for t in tasks]
+    # imported here so that `solve` does not load multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_task, tasks))
 

@@ -10,7 +10,6 @@ from fps_maxsat.cli import main
 from fps_maxsat.formula import INFEASIBLE
 from fps_maxsat.harness import (
     CSV_FIELDS,
-    THREADS_ENV,
     InstanceRecord,
     bench,
     config_for_mode,
@@ -106,24 +105,11 @@ class TestModes:
 
 
 class TestWorkerCount:
-    def test_defaults_to_one(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
+    def test_defaults_to_one(self):
         assert _worker_count(None, 10) == 1
 
-    def test_env_sets_default(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "4")
-        assert _worker_count(None, 10) == 4
-
-    def test_env_caps_explicit_jobs(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
-        assert _worker_count(8, 10) == 2
-
-    def test_task_count_caps(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV, raising=False)
+    def test_task_count_caps(self):
         assert _worker_count(6, 2) == 2
-
-    def test_env_name(self):
-        assert THREADS_ENV == "FPS_MAXSAT_THREADS"
 
 
 class TestRunInstance:
@@ -142,8 +128,7 @@ class TestRunInstance:
         assert record.status == "no-feasible-found"
         assert record.cost is None
 
-    def test_parallel_batch_keeps_order(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV, "2")
+    def test_parallel_batch_keeps_order(self, tmp_path):
         a = tmp_path / "a.wcnf"
         b = tmp_path / "b.wcnf"
         a.write_text(WORKED)

@@ -103,16 +103,21 @@ class TestEnumerationLimits:
 class TestLazyNumpy:
     def test_cli_import_does_not_load_numpy(self):
         # numpy is imported inside exact_solve, so every command but
-        # `oracle` starts without it; only a fresh interpreter shows that.
-        # The child imports the same package copy as this process.
+        # `oracle` starts without it, and the process pool only when a
+        # batch runs with several jobs; only a fresh interpreter shows
+        # that.  The child imports the same package copy as this process.
         root = os.path.dirname(os.path.dirname(fps_maxsat.__file__))
         path = os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")])
         )
-        code = "import sys, fps_maxsat.cli; print('numpy' in sys.modules)"
+        heavy = ("numpy", "concurrent.futures.process", "multiprocessing")
+        code = (
+            "import sys, fps_maxsat.cli; "
+            f"print([m for m in {heavy!r} if m in sys.modules])"
+        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
