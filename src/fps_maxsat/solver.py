@@ -10,11 +10,11 @@ The single-flip baseline random-walks: pick a random falsified clause
 The look-ahead strategy samples ``sc_num`` falsified clauses, draws one
 variable from each (deduplicated, order preserved), and pseudo-flips each
 candidate to see one step further: after the pseudo flip, a partner
-variable is picked from the now-positive-score set by bounded sampling
-(``sv_num`` draws, best wins).  A candidate-plus-partner pair whose
-combined score is positive is taken immediately (early stop); otherwise the
-step falls back to the best of the single candidate and the best pair seen,
-preferring the pair on ties.
+variable other than the candidate is picked from the now-positive-score
+set by bounded sampling (``sv_num`` draws, best wins).  A
+candidate-plus-partner pair whose combined score is positive is taken
+immediately (early stop); otherwise the step falls back to the best of the
+single candidate and the best pair seen, preferring the pair on ties.
 
 :data:`MODES` names the configurations, set by ``SolverConfig.mode``:
 
@@ -224,8 +224,10 @@ def fps_step(
     probe = state.probed_positive_scores
     for cand in fv:
         # Pseudo-flip cand without mutating: collect the variables whose
-        # score turns positive and pick the partner among them.
+        # score turns positive and pick the partner among them.  cand
+        # itself is no partner: flipping it back would undo the pair.
         pos = probe(cand)
+        pos.pop(cand, None)
         if not pos:
             continue
         partner = bms_pick(list(pos), pos, sv_num, rng)

@@ -195,7 +195,7 @@ class TestFpsStep:
     def test_escape_validity_pair_mechanism(self):
         # at a local optimum: the first flipped variable must be one that
         # was probed, and the partner must be the BMS pick over exactly
-        # that probe's positive-score set
+        # that probe's positive-score set without the candidate itself
         recorded = []
         real_bms = solver_mod.bms_pick
 
@@ -222,11 +222,14 @@ class TestFpsStep:
                 if len(st.flip_log) == 2:
                     cand, partner = st.flip_log
                     assert cand in probed
+                    assert partner != cand
                     assert partner in probed[cand]
                     # the partner came from a BMS pick whose candidate set
-                    # was exactly the probed positive-score set of cand
+                    # was exactly the probed positive-score set of cand,
+                    # less cand
+                    partners = set(probed[cand]) - {cand}
                     assert any(
-                        pick == partner and set(cands) == set(probed[cand])
+                        pick == partner and set(cands) == partners
                         for cands, pick in recorded
                     )
                     pair_steps += 1
@@ -413,23 +416,22 @@ class TestSolve:
 
 
 class TestOutputPin:
-    # sha256 of the complete `solve` stdout per mode, recorded when the
-    # test was added.  The instance is the 300-variable, 2,106-clause
+    # sha256 of the complete `solve` stdout per mode.  The instance is the 300-variable, 2,106-clause
     # `lookahead` benchmark input (the same bytes as perfbench/gen.py
     # writes).  A mismatch means the seeded RNG is consumed differently or
     # clause/literal order changed; either must be declared in CHANGES.md
     # together with the new digests.
     PINNED = {
-        "fps": "94991c54efe2beba667d01deae4469a6"
-               "371d0e74f14e2da4fb74f1395ad03a4b",
+        "fps": "13d6d4cff840a78c447c6e2c3eb081de"
+               "f4cc72a658c257369b2a4ce467075334",
         "single": "4f629c944bbff7fc1c0dc70590f6882e"
                   "2b94c7ffb5e926fc854aff7a8ab3c4fa",
-        "fps-rw": "262896d7a0b8d191568776ba5fc09d62"
-                  "5ad10af22d50dee29e00c97ca5ada78c",
+        "fps-rw": "e4dc4f7f508eb7f846774c98584a1131"
+                  "347bb66fe393804eddc4b56607de8349",
         "fps-always": "2eabea8b5e46a3159a579cc15877eb25"
                       "bc5315740534432bbd2068d70304481f",
-        "fps-nostop": "58d743c8cb2da27093116b291d98b890"
-                      "dfcd4be961ef877fd739ef336eca17fb",
+        "fps-nostop": "6a732b63129a47a5313d901c985c1c53"
+                      "0f5bc25b4ffa9a286d891d67eb4724e6",
     }
 
     def test_solve_output_bytes_pinned(self, tmp_path):
