@@ -51,7 +51,10 @@ class RunStatus(Enum):
 
 @dataclass
 class SolverConfig:
-    """Knobs for one solver run.  Defaults follow the tuned configuration."""
+    """Knobs for one solver run.  Defaults follow the tuned configuration.
+
+    ``mode`` names the configuration, one of :data:`MODES`.
+    """
 
     mode: str = "fps"
     sc_num: int = 10

@@ -364,21 +364,19 @@ class TestSolve:
     def test_mode_dispatch(self, monkeypatch):
         # solve looks the step functions up when it is called, so wrappers
         # installed on the module (as a tracing benchmark does) take effect
-        f = worked_instance()
+        calls = []
+
+        def recorder(name):
+            def step(state, config, rng):
+                calls.append(name)
+                return False
+            return step
+
+        monkeypatch.setattr(solver_mod, "fps_step", recorder("fps"))
+        monkeypatch.setattr(solver_mod, "single_flip_step", recorder("single"))
         for mode in MODES:
-            calls = []
-
-            def recorder(name):
-                def step(state, config, rng):
-                    calls.append(name)
-                    return False
-                return step
-
-            monkeypatch.setattr(solver_mod, "fps_step", recorder("fps"))
-            monkeypatch.setattr(
-                solver_mod, "single_flip_step", recorder("single")
-            )
-            solve(f, SolverConfig(mode=mode, max_flips=100))
+            calls.clear()
+            solve(worked_instance(), SolverConfig(mode=mode, max_flips=100))
             assert calls == ["single" if mode == "single" else "fps"], mode
 
     def test_trace_strictly_decreasing(self):
@@ -416,9 +414,9 @@ class TestSolve:
 
 
 class TestOutputPin:
-    # sha256 of the complete `solve` stdout per mode.  The instance is the 300-variable, 2,106-clause
-    # `lookahead` benchmark input (the same bytes as perfbench/gen.py
-    # writes).  A mismatch means the seeded RNG is consumed differently or
+    # sha256 of the complete `solve` stdout per mode.  The instance is the
+    # 300-variable, 2,106-clause `lookahead` benchmark input (the same
+    # bytes as perfbench/gen.py writes).  A mismatch means the seeded RNG is consumed differently or
     # clause/literal order changed; either must be declared in CHANGES.md
     # together with the new digests.
     PINNED = {
