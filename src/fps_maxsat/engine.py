@@ -111,9 +111,9 @@ class IndexedSet:
 
     def choose(self, rng: random.Random) -> int:
         items = self.items
-        # floor(random() * k) is the draw random.choices uses; random() < 1
+        # int(random() * k) is the draw random.choices uses; random() < 1
         # guarantees the index stays in range.
-        return items[math.floor(rng.random() * len(items))]
+        return items[int(rng.random() * len(items))]
 
     def __contains__(self, x: int) -> bool:
         return x in self.pos
@@ -288,9 +288,7 @@ class SearchState:
         Equal to ``{v: score[v] for v in good_vars}`` after ``flip(x)``,
         but nothing is mutated.  Only clause-mates of x can change score,
         so one pass over x's occurrence lists builds a small delta table;
-        x itself flips sign (score'(x) = -score(x)).  At a local optimum
-        (``good_vars`` empty) a first pass sums the gains alone and
-        returns early when they lift no clause-mate above 0.
+        x itself flips sign (score'(x) = -score(x)).
         """
         if not 1 <= x <= self.num_vars:
             raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
@@ -307,25 +305,6 @@ class SearchState:
         else:
             inc_list = self.pos_occ[x]
             dec_list = self.neg_occ[x]
-        if not self.good_vars.items:
-            # Every score is <= 0 here, so only a gain can lift one.
-            for c in inc_list:
-                if sat_count[c] == 1:
-                    z = self.crit_var[c]
-                    delta[z] = get(z, 0) + dyn_weight[c]
-            for c in dec_list:
-                if sat_count[c] == 1:
-                    w = dyn_weight[c]
-                    for y in clause_vars[c]:
-                        if y != x:
-                            delta[y] = get(y, 0) + w
-            for y, d in delta.items():
-                if score[y] + d > 0:
-                    delta.clear()
-                    break
-            else:
-                sx = -score[x]
-                return {x: sx} if sx > 0 else {}
         for c in inc_list:
             k = sat_count[c]
             if k == 0:

@@ -34,7 +34,6 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from math import floor  # equals int() on the draws here (x >= 0), but cheaper
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from .engine import SearchState
@@ -120,11 +119,11 @@ def bms_pick(
         return candidates[0]
     vals = [scores[v] for v in candidates]
     r = rng.random
-    i = floor(r() * k)
+    i = int(r() * k)
     best = candidates[i]
     best_score = vals[i]
     for _ in range(sv_num - 1):
-        i = floor(r() * k)
+        i = int(r() * k)
         s = vals[i]
         if s > best_score:
             best = candidates[i]
@@ -147,7 +146,8 @@ def _random_walk_escape(state: SearchState, rng: random.Random) -> bool:
     score = state.score
     best_score = None
     ties: List[int] = []
-    for y in state.clause_vars[c]:
+    for lit in state.lits[c]:
+        y = lit if lit > 0 else -lit
         s = score[y]
         if best_score is None or s > best_score:
             best_score = s
@@ -200,19 +200,25 @@ def fps_step(
 
     # First-level candidates: sc_num falsified clauses drawn uniformly with
     # replacement (hard ones take priority), one random variable from each,
-    # deduplicated in sampling order (a dict keeps each key where it was
-    # first inserted).  Not refilled after dedup.
-    drawn = {}
+    # deduplicated in sampling order.  Not refilled after dedup.
+    fv: List[int] = []
+    seen = set()
     clause_vars = state.clause_vars
     r = rng.random
     for _ in range(config.sc_num):
-        members = clause_vars[pool[floor(r() * k)]]
-        drawn[members[floor(r() * len(members))]] = None
-    fv = list(drawn)
+        members = clause_vars[pool[int(r() * k)]]
+        y = members[int(r() * len(members))]
+        if y not in seen:
+            seen.add(y)
+            fv.append(y)
 
-    # max keeps the first of equal scores.
-    v1 = max(fv, key=score.__getitem__)
+    v1 = fv[0]
     s1 = score[v1]
+    for y in fv[1:]:
+        s = score[y]
+        if s > s1:
+            v1 = y
+            s1 = s
 
     best_pair: Optional[Tuple[int, int]] = None
     s2 = None

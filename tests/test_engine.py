@@ -289,28 +289,6 @@ class TestProbedPositiveScores:
                     v: ref[v] for v in range(1, f.num_vars + 1) if ref[v] > 0
                 }, x
 
-    def test_matches_real_probe_at_local_optima(self):
-        # With good_vars empty the probe sums the gains first; both its
-        # early exit and its fall-through to the full pass must agree
-        # with a real flip.
-        rng = random.Random(53)
-        lifted = unlifted = 0
-        for _ in range(40):
-            f = random_formula(rng, max_vars=12, max_clauses=40)
-            st = SearchState(f, rng=rng)
-            for _ in range(rng.randint(1, 5)):
-                while st.good_vars.items:
-                    st.flip(st.good_vars.choose(rng))
-                for x in range(1, f.num_vars + 1):
-                    fast = st.probed_positive_scores(x)
-                    assert fast == probe_reference(st, x), x
-                    if set(fast) - {x}:
-                        lifted += 1
-                    else:
-                        unlifted += 1
-                st.update_weights(rng)
-        assert lifted and unlifted
-
     def test_is_read_only(self):
         st = SearchState(soft_unit(), assignment=[False])
         before = snapshot(st)

@@ -416,9 +416,9 @@ class TestSolve:
 class TestOutputPin:
     # sha256 of the complete `solve` stdout per mode.  The instance is the
     # 300-variable, 2,106-clause `lookahead` benchmark input (the same
-    # bytes as perfbench/gen.py writes).  A mismatch means the seeded RNG is consumed differently or
-    # clause/literal order changed; either must be declared in CHANGES.md
-    # together with the new digests.
+    # bytes as perfbench/gen.py writes).  A mismatch means the seeded RNG
+    # is consumed differently or clause/literal order changed; either must
+    # be declared in CHANGES.md together with the new digests.
     PINNED = {
         "fps": "13d6d4cff840a78c447c6e2c3eb081de"
                "f4cc72a658c257369b2a4ce467075334",
