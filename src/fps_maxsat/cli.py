@@ -204,8 +204,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    write_records_csv(records, args.out)
     print(format_report(report))
+    try:
+        write_records_csv(records, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(f"records written to {args.out}")
     return 0
 
@@ -233,18 +237,23 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    with open(args.out, "w", newline="") as fh:
-        fh.write("sc_num,sv_num,mean_score\n")
-        for row in rows:
-            fh.write(
-                f"{row['sc_num']},{row['sv_num']},{row['mean_score']:.6f}\n"
-            )
     print("mean score per (sc_num, sv_num):")
     for row in rows:
         print(
             f"  sc={row['sc_num']:<4} sv={row['sv_num']:<4} "
             f"{row['mean_score']:.4f}"
         )
+    try:
+        with open(args.out, "w", newline="") as fh:
+            fh.write("sc_num,sv_num,mean_score\n")
+            for row in rows:
+                fh.write(
+                    f"{row['sc_num']},{row['sv_num']},"
+                    f"{row['mean_score']:.6f}\n"
+                )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     print(f"grid written to {args.out}")
     return 0
 

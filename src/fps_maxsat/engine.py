@@ -9,11 +9,12 @@ with strictly positive score).
 A flip touches only the clauses containing the flipped variable.  Critical
 variables (the single satisfying variable of a clause with one true literal)
 are cached so that a 2-to-1 transition needs one clause scan and everything
-else is O(1) per touched clause.
+else is O(1) per touched clause.  The index sets change only through
+:class:`IndexedSet`'s own methods.
 
 :meth:`SearchState.probed_positive_scores` looks one flip ahead without
-mutating anything: it returns the positive scores the state would have if a
-given variable were flipped.
+mutating anything: it returns the positive scores the other variables would
+have if a given variable were flipped.
 """
 
 from __future__ import annotations
@@ -285,10 +286,11 @@ class SearchState:
     def probed_positive_scores(self, x: int) -> Dict[int, int]:
         """Positive-score variables of the hypothetical state with ``x`` flipped.
 
-        Equal to ``{v: score[v] for v in good_vars}`` after ``flip(x)``,
-        but nothing is mutated.  Only clause-mates of x can change score,
-        so one pass over x's occurrence lists builds a small delta table;
-        x itself flips sign (score'(x) = -score(x)).
+        Equal to ``{v: score[v] for v in good_vars if v != x}`` after
+        ``flip(x)``, but nothing is mutated.  ``x`` is left out because it
+        is never a partner of itself: flipping it back would undo the pair.
+        Only clause-mates of x can change score, so one pass over x's
+        occurrence lists builds a small delta table.
         """
         if not 1 <= x <= self.num_vars:
             raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
@@ -341,9 +343,6 @@ class SearchState:
         for y in self.good_vars.items:
             if y != x and y not in delta:
                 pos[y] = score[y]
-        sx = -score[x]
-        if sx > 0:
-            pos[x] = sx
         return pos
 
     def flip(self, x: int) -> None:
@@ -353,9 +352,8 @@ class SearchState:
         """
         if not 1 <= x <= self.num_vars:
             raise ValueError(f"variable {x} out of range 1..{self.num_vars}")
-        # Hot path.  Locals beat attribute loads, and the good_vars set
-        # surgery is inlined: membership is exactly score > 0, so a
-        # sign crossing tells us whether the variable is present.
+        # Hot path: locals beat attribute loads.  good_vars membership is
+        # exactly score > 0, so only a sign crossing touches the set.
         assign = self.assign
         new_val = not assign[x]
         assign[x] = new_val
@@ -367,8 +365,6 @@ class SearchState:
         clause_vars = self.clause_vars
         soft_weight = self.soft_weight
         gv = self.good_vars
-        gv_items = gv.items
-        gv_pos = gv.pos
         if new_val:
             inc_list = self.pos_occ[x]
             dec_list = self.neg_occ[x]
@@ -387,19 +383,11 @@ class SearchState:
                     s = score[y]
                     score[y] = s - w
                     if 0 < s <= w:
-                        i = gv_pos.pop(y)
-                        last = gv_items.pop()
-                        if last != y:
-                            gv_items[i] = last
-                            gv_pos[last] = i
+                        gv.discard(y)
                 s = score[x]
                 score[x] = s - w
                 if 0 < s <= w:
-                    i = gv_pos.pop(x)
-                    last = gv_items.pop()
-                    if last != x:
-                        gv_items[i] = last
-                        gv_pos[last] = i
+                    gv.discard(x)
                 crit_var[c] = x
                 if not soft_weight[c]:
                     self.falsified_hard.discard(c)
@@ -413,8 +401,7 @@ class SearchState:
                 ns = s + dyn_weight[c]
                 score[z] = ns
                 if ns > 0 >= s:
-                    gv_pos[z] = len(gv_items)
-                    gv_items.append(z)
+                    gv.add(z)
 
         for c in dec_list:
             k = sat_count[c]
@@ -428,14 +415,12 @@ class SearchState:
                     ns = s + w
                     score[y] = ns
                     if ns > 0 >= s:
-                        gv_pos[y] = len(gv_items)
-                        gv_items.append(y)
+                        gv.add(y)
                 s = score[x]
                 ns = s + w
                 score[x] = ns
                 if ns > 0 >= s:
-                    gv_pos[x] = len(gv_items)
-                    gv_items.append(x)
+                    gv.add(x)
                 if not soft_weight[c]:
                     self.falsified_hard.add(c)
                 else:
@@ -450,11 +435,7 @@ class SearchState:
                         s = score[y]
                         score[y] = s - w
                         if 0 < s <= w:
-                            i = gv_pos.pop(y)
-                            last = gv_items.pop()
-                            if last != y:
-                                gv_items[i] = last
-                                gv_pos[last] = i
+                            gv.discard(y)
                         crit_var[c] = y
                         break
 
@@ -497,28 +478,18 @@ class SearchState:
                             gv.add(z)
             return
         clause_vars = self.clause_vars
-        gv_items = gv.items
-        gv_pos = gv.pos
-        h_inc = wp.h_inc
-        for c in self.falsified_hard.items:
-            dyn_weight[c] += h_inc
-            for y in clause_vars[c]:
-                s = score[y]
-                ns = s + h_inc
-                score[y] = ns
-                if ns > 0 >= s:
-                    gv_pos[y] = len(gv_items)
-                    gv_items.append(y)
-        s_inc = wp.s_inc
-        cap = wp.soft_cap
-        for c in self.falsified_soft.items:
-            if dyn_weight[c] >= cap:
-                continue
-            dyn_weight[c] += s_inc
-            for y in clause_vars[c]:
-                s = score[y]
-                ns = s + s_inc
-                score[y] = ns
-                if ns > 0 >= s:
-                    gv_pos[y] = len(gv_items)
-                    gv_items.append(y)
+        # Hard clauses have no cap.
+        for falsified, inc, cap in (
+            (self.falsified_hard, wp.h_inc, math.inf),
+            (self.falsified_soft, wp.s_inc, wp.soft_cap),
+        ):
+            for c in falsified.items:
+                if dyn_weight[c] >= cap:
+                    continue
+                dyn_weight[c] += inc
+                for y in clause_vars[c]:
+                    s = score[y]
+                    ns = s + inc
+                    score[y] = ns
+                    if ns > 0 >= s:
+                        gv.add(y)

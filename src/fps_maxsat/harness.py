@@ -339,9 +339,13 @@ def bench(
     jobs: Optional[int] = None,
     warn=None,
 ) -> Tuple[List[InstanceRecord], BenchReport]:
-    """Run every (instance, mode, seed) cell and summarise."""
+    """Run every (instance, mode, seed) cell and summarise.
+
+    A mode named more than once runs once, at its first position.
+    """
     if not instances:
         raise ValueError("no instances to benchmark")
+    modes = list(dict.fromkeys(modes))
     for mode in modes:
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}")

@@ -72,7 +72,7 @@ class SolverConfig:
             raise ValueError(f"sc_num must be >= 1, got {self.sc_num}")
         if self.sv_num < 1:
             raise ValueError(f"sv_num must be >= 1, got {self.sv_num}")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {self.time_limit}")
         if self.max_flips is not None and self.max_flips < 0:
             raise ValueError(f"max_flips must be >= 0, got {self.max_flips}")
@@ -146,8 +146,7 @@ def _random_walk_escape(state: SearchState, rng: random.Random) -> bool:
     score = state.score
     best_score = None
     ties: List[int] = []
-    for lit in state.lits[c]:
-        y = lit if lit > 0 else -lit
+    for y in state.clause_vars[c]:
         s = score[y]
         if best_score is None or s > best_score:
             best_score = s
@@ -193,10 +192,9 @@ def fps_step(
         state.update_weights(rng)
 
     score = state.score
-    pool = state.falsified_hard.items
-    if not pool:
-        pool = state.falsified_soft.items
-    k = len(pool)
+    pool = state.falsified_hard
+    if not pool.items:
+        pool = state.falsified_soft
 
     # First-level candidates: sc_num falsified clauses drawn uniformly with
     # replacement (hard ones take priority), one random variable from each,
@@ -206,7 +204,7 @@ def fps_step(
     clause_vars = state.clause_vars
     r = rng.random
     for _ in range(config.sc_num):
-        members = clause_vars[pool[int(r() * k)]]
+        members = clause_vars[pool.choose(rng)]
         y = members[int(r() * len(members))]
         if y not in seen:
             seen.add(y)
@@ -226,11 +224,9 @@ def fps_step(
     sv_num = config.sv_num
     probe = state.probed_positive_scores
     for cand in fv:
-        # Pseudo-flip cand without mutating: collect the variables whose
-        # score turns positive and pick the partner among them.  cand
-        # itself is no partner: flipping it back would undo the pair.
+        # Pseudo-flip cand without mutating: collect the other variables
+        # whose score turns positive and pick the partner among them.
         pos = probe(cand)
-        pos.pop(cand, None)
         if not pos:
             continue
         partner = bms_pick(list(pos), pos, sv_num, rng)

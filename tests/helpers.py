@@ -113,9 +113,12 @@ def flipped_copy(state: SearchState, x: int) -> SearchState:
 
 
 def probe_reference(state: SearchState, x: int) -> Dict[int, int]:
-    """What ``probed_positive_scores(x)`` must return, by a real flip."""
+    """What ``probed_positive_scores(x)`` must return, by a real flip.
+
+    ``x`` itself is left out: it is never a partner of itself.
+    """
     twin = flipped_copy(state, x)
-    return {v: twin.score[v] for v in twin.good_vars.items}
+    return {v: twin.score[v] for v in twin.good_vars.items if v != x}
 
 
 def snapshot(state: SearchState) -> Dict[str, object]:

@@ -107,8 +107,10 @@ def test_2_probe_pairs_leave_state_identical():
                 x = gen.randint(1, n)
                 probed = state.probed_positive_scores(x)
                 assert snapshot(state) == before
-                # the read-only probe equals a real flip of a copy
+                # the read-only probe equals a real flip of a copy,
+                # less x itself
                 assert probed == probe_reference(state, x)
+                assert x not in probed
                 done += 1
         assert done == pairs
         info["detail"] = f"{done} probes, each equal to a real flip"

@@ -251,9 +251,13 @@ class TestProbe:
             assert set(twin.good_vars.items) == {
                 v for v in range(1, f.num_vars + 1) if ref[v] > 0
             }
-            assert st.probed_positive_scores(x) == {
-                v: ref[v] for v in range(1, f.num_vars + 1) if ref[v] > 0
+            probed = st.probed_positive_scores(x)
+            assert probed == {
+                v: ref[v]
+                for v in range(1, f.num_vars + 1)
+                if ref[v] > 0 and v != x
             }
+            assert x not in probed
 
     def test_probe_never_touches_best_or_flips(self):
         st = SearchState(soft_unit(), assignment=[False])
@@ -284,9 +288,12 @@ class TestProbedPositiveScores:
             for x in range(1, f.num_vars + 1):
                 fast = st.probed_positive_scores(x)
                 assert fast == probe_reference(st, x), x
+                assert x not in fast
                 ref = rescan_scores(flipped_copy(st, x))
                 assert fast == {
-                    v: ref[v] for v in range(1, f.num_vars + 1) if ref[v] > 0
+                    v: ref[v]
+                    for v in range(1, f.num_vars + 1)
+                    if ref[v] > 0 and v != x
                 }, x
 
     def test_is_read_only(self):
@@ -314,6 +321,17 @@ class TestUpdateWeights:
         assert set(st.good_vars.items) == {
             v for v in (1, 2) if st.score[v] > 0
         }
+
+    def test_hard_clauses_bumped_past_soft_cap(self):
+        # the soft cap does not apply to hard clauses
+        f = Formula.build(num_vars=1, hard=[[1]])
+        wp = WeightingParams(soft_cap=3)
+        st = SearchState(f, weighting=wp, assignment=[False])
+        for _ in range(10):
+            st.update_weights(ScriptedRng([0.99]))
+        assert st.dyn_weight == [1 + 10 * wp.h_inc]
+        assert st.score[1] == st.dyn_weight[0]
+        assert list(st.good_vars) == [1]
 
     def test_soft_cap_respected(self):
         f = Formula.build(num_vars=1, soft=[(1, [1])])

@@ -467,6 +467,13 @@ class TestCliSolve:
         assert main(["solve", str(worked_file), "--max-flips", "-5"]) == 1
         assert "bad configuration" in capsys.readouterr().err
 
+    def test_nan_time_limit_exit_code(self, worked_file, capsys):
+        # a NaN limit would never stop the search
+        assert main(["solve", str(worked_file), "--time-limit", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert "bad configuration" in captured.err
+        assert captured.out == ""
+
     def test_help_exits_clean(self, capsys):
         assert main(["--help"]) == 0
 
@@ -530,6 +537,64 @@ class TestCliBenchAndSweep:
     def test_bench_missing_path(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "ghost")]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_bench_repeated_mode_runs_once(self, worked_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(
+            [
+                "bench",
+                str(worked_file),
+                "--modes",
+                "fps,single,fps",
+                "--max-flips",
+                "1000",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1] for row in rows] == ["fps", "single"]
+        table = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("fps ") for line in table) == 1
+
+    def test_bench_unwritable_out(self, worked_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "out.csv"
+        code = main(
+            [
+                "bench",
+                str(worked_file),
+                "--max-flips",
+                "1000",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
+
+    def test_sweep_unwritable_out(self, worked_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "grid.csv"
+        code = main(
+            [
+                "sweep",
+                str(worked_file),
+                "--sc-nums",
+                "5",
+                "--sv-nums",
+                "20",
+                "--max-flips",
+                "1000",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err
+        assert "Traceback" not in err
 
     def test_sweep_writes_grid(self, worked_file, tmp_path, capsys):
         out = tmp_path / "grid.csv"

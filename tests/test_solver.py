@@ -79,6 +79,9 @@ class TestSolverConfig:
             SolverConfig(sv_num=0)
         with pytest.raises(ValueError):
             SolverConfig(time_limit=0)
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=float("nan"))
+        assert SolverConfig(time_limit=float("inf")).time_limit > 0
 
 
 class TestBmsPick:
@@ -195,7 +198,7 @@ class TestFpsStep:
     def test_escape_validity_pair_mechanism(self):
         # at a local optimum: the first flipped variable must be one that
         # was probed, and the partner must be the BMS pick over exactly
-        # that probe's positive-score set without the candidate itself
+        # that probe's positive-score set, which leaves the candidate out
         recorded = []
         real_bms = solver_mod.bms_pick
 
@@ -224,12 +227,11 @@ class TestFpsStep:
                     assert cand in probed
                     assert partner != cand
                     assert partner in probed[cand]
+                    assert cand not in probed[cand]
                     # the partner came from a BMS pick whose candidate set
-                    # was exactly the probed positive-score set of cand,
-                    # less cand
-                    partners = set(probed[cand]) - {cand}
+                    # was exactly the probed positive-score set of cand
                     assert any(
-                        pick == partner and set(cands) == partners
+                        pick == partner and set(cands) == set(probed[cand])
                         for cands, pick in recorded
                     )
                     pair_steps += 1
