@@ -1,6 +1,6 @@
 """Incomplete (weighted) partial MaxSAT solving by stochastic local search.
 
-The package is organised around five pieces:
+The package is organised around six pieces:
 
 - :mod:`fps_maxsat.formula`: immutable problem representation (clauses as
   tuples of signed integer literals, weights with 0 marking hard clauses),
@@ -15,9 +15,12 @@ The package is organised around five pieces:
   selection.  ``SolverConfig.mode`` picks one of the five named
   configurations in ``MODES``: the strategy, the baseline, or one of three
   ablations of the strategy's moving parts.
+- :mod:`fps_maxsat._kernel`: the same step loop compiled from C, which
+  ``solve`` uses when it can be built; it takes the same trajectory as the
+  Python engine, which remains the reference and the fallback.
 - :mod:`fps_maxsat.oracle`: exact optimum for small instances by exhaustive
-  enumeration, used to validate the heuristics.  It imports numpy when
-  called, not when the package is imported.
+  enumeration, used to validate the heuristics.  It needs numpy (the
+  ``oracle`` extra) and imports it when called.
 - :mod:`fps_maxsat.harness`/:mod:`fps_maxsat.cli`: evaluation tooling and the
   ``fps-maxsat`` command line front end.
 """

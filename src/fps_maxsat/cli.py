@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import signal
 import sys
+import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import List, Optional
+from typing import Iterator, List, Optional, TextIO
 
 from .formula import ParseError, parse_wcnf
 from .harness import (
@@ -143,7 +147,25 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     def report(cost: int, _elapsed: float) -> None:
         print(f"o {cost}", flush=True)
 
-    result = solve(formula, config, on_improvement=report)
+    # SIGTERM and SIGINT only ask the search to stop: the best model found
+    # so far is still printed, and the exit code stays 0.
+    stop = threading.Event()
+    handlers = {}
+    for signum in (signal.SIGTERM, signal.SIGINT):
+        try:
+            handlers[signum] = signal.signal(signum, lambda *_: stop.set())
+        except ValueError:  # not the main thread: signals stay as they are
+            break
+    try:
+        result = solve(formula, config, on_improvement=report, stop=stop)
+        _print_solution(args, result)
+    finally:
+        for signum, handler in handlers.items():
+            signal.signal(signum, handler)
+    return 0
+
+
+def _print_solution(args: argparse.Namespace, result) -> None:
     if result.status is RunStatus.FEASIBLE:
         print("s SATISFIABLE")
         assignment = result.best_assignment
@@ -173,10 +195,23 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                     "time_to_best_s": result.time_to_best_s,
                     "elapsed_s": result.elapsed_s,
                     "flips": result.flips,
+                    "engine": result.engine,
                 }
             )
         )
-    return 0
+
+
+@contextmanager
+def _output(path: str) -> Iterator[TextIO]:
+    """``path`` opened for writing before any cell runs, so that an
+    unwritable path fails at once; removed again if the run fails."""
+    with open(path, "w", newline="") as fh:
+        try:
+            yield fh
+        except BaseException:
+            fh.close()
+            os.unlink(path)
+            raise
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -186,28 +221,25 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         best_known = (
             read_best_known(args.best_known) if args.best_known else None
         )
-        records, report = bench(
-            instances,
-            modes=modes,
-            seeds=args.seeds,
-            time_limit=args.time_limit,
-            max_flips=args.max_flips,
-            sc_num=args.sc_num,
-            sv_num=args.sv_num,
-            best_known=best_known,
-            jobs=args.jobs,
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-        )
+        with _output(args.out) as out:
+            records, report = bench(
+                instances,
+                modes=modes,
+                seeds=args.seeds,
+                time_limit=args.time_limit,
+                max_flips=args.max_flips,
+                sc_num=args.sc_num,
+                sv_num=args.sv_num,
+                best_known=best_known,
+                jobs=args.jobs,
+                warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
+            )
+            print(format_report(report))
+            write_records_csv(records, out)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print(format_report(report))
-    try:
-        write_records_csv(records, args.out)
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"records written to {args.out}")
@@ -220,38 +252,34 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         best_known = (
             read_best_known(args.best_known) if args.best_known else None
         )
-        rows = sweep(
-            instances,
-            sc_values=args.sc_nums,
-            sv_values=args.sv_nums,
-            seeds=args.seeds,
-            time_limit=args.time_limit,
-            max_flips=args.max_flips,
-            best_known=best_known,
-            jobs=args.jobs,
-            warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-        )
+        with _output(args.out) as out:
+            rows = sweep(
+                instances,
+                sc_values=args.sc_nums,
+                sv_values=args.sv_nums,
+                seeds=args.seeds,
+                time_limit=args.time_limit,
+                max_flips=args.max_flips,
+                best_known=best_known,
+                jobs=args.jobs,
+                warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
+            )
+            print("mean score per (sc_num, sv_num):")
+            for row in rows:
+                print(
+                    f"  sc={row['sc_num']:<4} sv={row['sv_num']:<4} "
+                    f"{row['mean_score']:.4f}"
+                )
+            out.write("sc_num,sv_num,mean_score\n")
+            for row in rows:
+                out.write(
+                    f"{row['sc_num']},{row['sv_num']},"
+                    f"{row['mean_score']:.6f}\n"
+                )
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    print("mean score per (sc_num, sv_num):")
-    for row in rows:
-        print(
-            f"  sc={row['sc_num']:<4} sv={row['sv_num']:<4} "
-            f"{row['mean_score']:.4f}"
-        )
-    try:
-        with open(args.out, "w", newline="") as fh:
-            fh.write("sc_num,sv_num,mean_score\n")
-            for row in rows:
-                fh.write(
-                    f"{row['sc_num']},{row['sv_num']},"
-                    f"{row['mean_score']:.6f}\n"
-                )
-    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"grid written to {args.out}")
@@ -269,7 +297,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         return USAGE_ERROR
     try:
         cost, witness = exact_solve(formula)
-    except ValueError as exc:
+    except (ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if witness is None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .formula import INFEASIBLE, parse_wcnf
 from .solver import MODES, RunStatus, SolverConfig, solve
@@ -345,6 +345,10 @@ def bench(
     """
     if not instances:
         raise ValueError("no instances to benchmark")
+    if not modes:
+        raise ValueError("no modes to benchmark")
+    if not seeds:
+        raise ValueError("no seeds to run")
     modes = list(dict.fromkeys(modes))
     for mode in modes:
         if mode not in MODES:
@@ -381,6 +385,8 @@ def sweep(
         raise ValueError("no instances to sweep")
     if not sc_values or not sv_values:
         raise ValueError("empty parameter grid")
+    if not seeds:
+        raise ValueError("no seeds to run")
     all_records: Dict[Tuple[int, int], List[InstanceRecord]] = {}
     for sc in sc_values:
         for sv in sv_values:
@@ -404,17 +410,19 @@ def sweep(
 
 
 def write_records_csv(
-    records: Sequence[InstanceRecord], path: Union[str, Path]
+    records: Sequence[InstanceRecord], out: TextIO
 ) -> None:
-    """Write records as CSV with the documented column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_FIELDS)
-        writer.writeheader()
-        for rec in records:
-            row = asdict(rec)
-            row["cost"] = "inf" if rec.cost is None else rec.cost
-            row["time_to_best_s"] = f"{rec.time_to_best_s:.6f}"
-            writer.writerow(row)
+    """Write records as CSV with the documented column order.
+
+    ``out`` is a text file opened with ``newline=""``.
+    """
+    writer = csv.DictWriter(out, fieldnames=CSV_FIELDS)
+    writer.writeheader()
+    for rec in records:
+        row = asdict(rec)
+        row["cost"] = "inf" if rec.cost is None else rec.cost
+        row["time_to_best_s"] = f"{rec.time_to_best_s:.6f}"
+        writer.writerow(row)
 
 
 def read_best_known(path: Union[str, Path]) -> Dict[str, int]:

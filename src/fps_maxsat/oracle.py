@@ -29,9 +29,14 @@ def exact_solve(
     assignment in bit order, so the result is deterministic), or None with
     cost :data:`INFEASIBLE` when no assignment satisfies the hard clauses.
     Raises ValueError when the formula has more than ``MAX_ENUM_VARS``
-    variables.
+    variables, and ImportError when numpy is not installed.
     """
-    import numpy as np
+    try:
+        import numpy as np
+    except ImportError:
+        raise ImportError(
+            "the oracle needs numpy: pip install 'fps-maxsat[oracle]'"
+        ) from None
 
     n = formula.num_vars
     if n > MAX_ENUM_VARS:

@@ -34,10 +34,22 @@ import random
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from . import _kernel
 from .engine import SearchState
 from .formula import INFEASIBLE, Formula, evaluate_cost
+
+if TYPE_CHECKING:
+    import threading
 
 
 #: Named solver configurations (see the module docstring).
@@ -87,7 +99,8 @@ class RunResult:
     ``best_cost`` (0.0 when the initial assignment was never improved on).
     ``improvement_trace`` lists ``(elapsed_s, cost)`` for every improvement,
     including the initial feasible assignment at time 0.0; its costs are
-    strictly decreasing.
+    strictly decreasing.  ``engine`` is ``"c"`` when the compiled kernel ran
+    every step and ``"python"`` when the Python step functions ran some.
     """
 
     status: RunStatus
@@ -97,6 +110,7 @@ class RunResult:
     elapsed_s: float
     time_to_best_s: float
     improvement_trace: List[Tuple[float, int]] = field(default_factory=list)
+    engine: str = "python"
 
 
 def bms_pick(
@@ -259,14 +273,21 @@ def solve(
     formula: Formula,
     config: Optional[SolverConfig] = None,
     on_improvement: Optional[Callable[[int, float], None]] = None,
+    stop: Optional[threading.Event] = None,
 ) -> RunResult:
     """Run local search until the time limit or flip budget is exhausted.
 
     ``on_improvement(cost, elapsed_s)`` fires whenever the best feasible
-    cost improves, including for a feasible initial assignment.  The best
-    solution is re-verified against the formula from scratch before being
-    returned; a mismatch with the incremental bookkeeping raises
-    RuntimeError.
+    cost improves, including for a feasible initial assignment.  The run
+    also ends once ``stop`` is set; it is checked before every step of the
+    Python engine and between the kernel's slices (at most about 10 ms
+    apart).  The best solution is re-verified against the formula from
+    scratch before being returned; a mismatch with the incremental
+    bookkeeping raises RuntimeError.
+
+    The steps run in the compiled kernel when it can be built and the
+    instance fits its integer types, and in the Python step functions
+    otherwise; both take the same trajectory.
     """
     if config is None:
         config = SolverConfig()
@@ -274,7 +295,6 @@ def solve(
     state = SearchState(formula, rng=rng)
     step = single_flip_step if config.mode == "single" else fps_step
 
-    t0 = time.perf_counter()
     trace: List[Tuple[float, int]] = []
     time_to_best = 0.0
     best_seen = state.best_cost
@@ -283,23 +303,43 @@ def solve(
         if on_improvement is not None:
             on_improvement(int(best_seen), 0.0)
 
+    kernel = _kernel.attach(state, config, rng)
+    t0 = time.perf_counter()
     max_flips = config.max_flips
     time_limit = config.time_limit
-    while True:
-        if max_flips is not None and state.flips >= max_flips:
-            break
-        now = time.perf_counter()
-        if now - t0 >= time_limit:
-            break
-        if not step(state, config, rng):
-            break
-        cost = state.best_cost
-        if cost < best_seen:
-            best_seen = cost
-            time_to_best = time.perf_counter() - t0
-            trace.append((time_to_best, int(cost)))
-            if on_improvement is not None:
-                on_improvement(int(cost), time_to_best)
+    engine = "python" if kernel is None else "c"
+    try:
+        while True:
+            if stop is not None and stop.is_set():
+                break
+            if kernel is not None:
+                status = kernel.run(
+                    max_flips, time_limit - (time.perf_counter() - t0)
+                )
+                if status == _kernel.HANDBACK:
+                    kernel.detach()
+                    kernel = None
+                    engine = "python"
+                    continue
+                if status in (_kernel.BUDGET, _kernel.DONE):
+                    break
+            else:
+                if max_flips is not None and state.flips >= max_flips:
+                    break
+                if time.perf_counter() - t0 >= time_limit:
+                    break
+                if not step(state, config, rng):
+                    break
+            cost = state.best_cost
+            if cost < best_seen:
+                best_seen = cost
+                time_to_best = time.perf_counter() - t0
+                trace.append((time_to_best, int(cost)))
+                if on_improvement is not None:
+                    on_improvement(int(cost), time_to_best)
+    finally:
+        if kernel is not None:
+            kernel.detach()
 
     elapsed = time.perf_counter() - t0
     best_assignment = state.best_assignment()
@@ -321,4 +361,5 @@ def solve(
         elapsed_s=elapsed,
         time_to_best_s=time_to_best,
         improvement_trace=trace,
+        engine=engine,
     )

@@ -2,12 +2,21 @@
 
 import csv
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import fps_maxsat
+import fps_maxsat.harness as harness
+from fps_maxsat import _kernel
 from fps_maxsat.cli import main
-from fps_maxsat.formula import INFEASIBLE
+from fps_maxsat.formula import INFEASIBLE, evaluate_cost, write_wcnf
 from fps_maxsat.harness import (
     CSV_FIELDS,
     InstanceRecord,
@@ -26,6 +35,8 @@ from fps_maxsat.harness import (
 )
 from fps_maxsat.solver import MODES
 
+from helpers import conflicted_weighted_instance
+
 WORKED = "1 -1 2 0\n1 1 -2 0\n1 1 2 0\n"
 CONTRADICTION = "h 1 0\nh -1 0\n"
 OLD_WEIGHTED = "p wcnf 2 3 10\n10 1 2 0\n3 -1 0\n5 2 0\n"
@@ -43,6 +54,21 @@ def rec(instance, mode, seed=1, cost=0, t=0.0, status="feasible", flips=10):
         time_to_best_s=t,
         flips=flips,
     )
+
+
+@pytest.fixture(params=["c", "python"])
+def engine(request, monkeypatch):
+    """Run a test once per engine: the compiled kernel, then pure Python.
+
+    The Python run switches the kernel off by making its loader report
+    that no build is available.  The kernel run is skipped, and reported
+    as skipped, when the kernel cannot be built on this machine.
+    """
+    if request.param == "python":
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+    elif _kernel.load() is None:
+        pytest.skip("the C kernel cannot be built here")
+    return request.param
 
 
 @pytest.fixture
@@ -291,6 +317,10 @@ class TestBench:
             bench([], modes=("fps",))
         with pytest.raises(ValueError, match="unknown mode"):
             bench([worked_file], modes=("fps", "bogus"))
+        with pytest.raises(ValueError, match="no modes"):
+            bench([worked_file], modes=())
+        with pytest.raises(ValueError, match="no seeds"):
+            bench([worked_file], seeds=())
 
 
 class TestSweep:
@@ -316,6 +346,8 @@ class TestSweep:
             sweep([], sc_values=(5,), sv_values=(20,))
         with pytest.raises(ValueError, match="grid"):
             sweep([worked_file], sc_values=(), sv_values=(20,))
+        with pytest.raises(ValueError, match="no seeds"):
+            sweep([worked_file], seeds=())
 
 
 class TestCsvIO:
@@ -325,7 +357,8 @@ class TestCsvIO:
             rec("b.wcnf", "fps", seed=2, cost=None),
         ]
         out = tmp_path / "records.csv"
-        write_records_csv(records, out)
+        with open(out, "w", newline="") as fh:
+            write_records_csv(records, fh)
         lines = out.read_text().splitlines()
         assert lines[0] == "instance,mode,seed,status,cost,time_to_best_s,flips"
         with open(out, newline="") as fh:
@@ -435,7 +468,15 @@ class TestCliSolve:
         assert payload["mode"] == "fps" and payload["seed"] == 1
         assert payload["instance"] == str(worked_file)
         assert isinstance(payload["flips"], int)
+        assert payload["engine"] in ("c", "python")
         assert lines[-2] == "v 11"
+
+    def test_json_names_the_engine(self, engine, worked_file, capsys):
+        assert main(
+            ["solve", str(worked_file), "--max-flips", "1000", "--json"]
+        ) == 0
+        payload = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert payload["engine"] == engine
 
     def test_v_line_reevaluates(self, tmp_path, capsys):
         # the printed assignment must achieve the final printed cost
@@ -481,7 +522,66 @@ class TestCliSolve:
         assert main([]) == 1
 
 
+SRC = str(Path(fps_maxsat.__file__).resolve().parents[1])
+
+
+def run_cli(code: str, *args: str, **kwargs) -> subprocess.Popen:
+    """A child interpreter running ``code`` with the package on its path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.Popen(
+        [sys.executable, "-c", code, *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+        **kwargs,
+    )
+
+
+class TestCliInterrupt:
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_signal_prints_best_model(self, signum, tmp_path):
+        formula = conflicted_weighted_instance(
+            random.Random(1), 300, 700, 1400
+        )
+        path = tmp_path / "long.wcnf"
+        path.write_text(write_wcnf(formula))
+        proc = run_cli(
+            "import sys; from fps_maxsat.cli import main; "
+            "sys.exit(main(sys.argv[1:]))",
+            "solve", str(path), "--time-limit", "120",
+        )
+        try:
+            first = proc.stdout.readline()
+            assert first.startswith("o "), first
+            time.sleep(0.3)
+            proc.send_signal(signum)
+            rest, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+        lines = [first.rstrip("\n")] + rest.splitlines()
+        costs = [int(line[2:]) for line in lines if line.startswith("o ")]
+        assert "s SATISFIABLE" in lines
+        (model,) = [line[2:] for line in lines if line.startswith("v ")]
+        assignment = [ch == "1" for ch in model]
+        assert evaluate_cost(formula, assignment) == costs[-1]
+
+
 class TestCliOracle:
+    def test_missing_numpy(self, worked_file):
+        proc = run_cli(
+            "import sys; sys.modules['numpy'] = None; "
+            "from fps_maxsat.cli import main; sys.exit(main(sys.argv[1:]))",
+            "oracle", str(worked_file),
+        )
+        out, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err.startswith("error: ") and "numpy" in err
+        assert "Traceback" not in err and out == ""
+
     def test_optimum_output(self, worked_file, capsys):
         assert main(["oracle", str(worked_file)]) == 0
         lines = capsys.readouterr().out.splitlines()
@@ -505,7 +605,37 @@ class TestCliOracle:
         assert main(["oracle", str(p)]) == 2
 
 
+@pytest.fixture
+def no_cell_runs(monkeypatch):
+    """Fail the test if any (instance, mode, seed) cell is solved."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr(harness, "solve", refuse)
+
+
 class TestCliBenchAndSweep:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--modes", ","],
+            ["bench", "--seeds", ","],
+            ["sweep", "--seeds", ","],
+        ],
+        ids=["bench-modes", "bench-seeds", "sweep-seeds"],
+    )
+    def test_empty_list_is_an_error(self, argv, worked_file, tmp_path,
+                                    capsys, no_cell_runs):
+        out = tmp_path / "out.csv"
+        code = main([argv[0], str(worked_file), *argv[1:], "--max-flips",
+                     "100", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no ")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_bench_writes_csv_and_report(self, tmp_path, capsys):
         d = tmp_path / "inst"
         d.mkdir()
@@ -558,7 +688,8 @@ class TestCliBenchAndSweep:
         table = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("fps ") for line in table) == 1
 
-    def test_bench_unwritable_out(self, worked_file, tmp_path, capsys):
+    def test_bench_unwritable_out(self, worked_file, tmp_path, capsys,
+                                  no_cell_runs):
         out = tmp_path / "missing" / "out.csv"
         code = main(
             [
@@ -571,11 +702,14 @@ class TestCliBenchAndSweep:
             ]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+        # the file is opened before the run, so no cell ran
+        assert captured.out == ""
 
-    def test_sweep_unwritable_out(self, worked_file, tmp_path, capsys):
+    def test_sweep_unwritable_out(self, worked_file, tmp_path, capsys,
+                                  no_cell_runs):
         out = tmp_path / "missing" / "grid.csv"
         code = main(
             [
@@ -592,9 +726,11 @@ class TestCliBenchAndSweep:
             ]
         )
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and str(out) in err
-        assert "Traceback" not in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(out) in captured.err
+        assert "Traceback" not in captured.err
+        # the file is opened before the run, so no cell ran
+        assert captured.out == ""
 
     def test_sweep_writes_grid(self, worked_file, tmp_path, capsys):
         out = tmp_path / "grid.csv"

@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 import pytest
 
 import fps_maxsat.solver as solver_mod
+from fps_maxsat import _kernel
 from fps_maxsat.cli import main
 from fps_maxsat.engine import SearchState
 from fps_maxsat.formula import (
@@ -364,8 +365,41 @@ class TestSolve:
             ]
 
     def test_mode_dispatch(self, monkeypatch):
-        # solve looks the step functions up when it is called, so wrappers
-        # installed on the module (as a tracing benchmark does) take effect
+        # The Python engine looks the step functions up when solve is
+        # called, so wrappers installed on the module (as a tracing
+        # benchmark does) take effect.
+        calls = self.record_steps(monkeypatch)
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        for mode in MODES:
+            calls.clear()
+            res = solve(worked_instance(), SolverConfig(mode=mode, max_flips=100))
+            assert res.engine == "python"
+            assert calls == ["single" if mode == "single" else "fps"], mode
+
+    def test_mode_dispatch_kernel(self, monkeypatch):
+        # The kernel dispatches on the mode's position in MODES and calls
+        # none of the Python step functions.
+        if _kernel.load() is None:
+            pytest.skip("the C kernel cannot be built here")
+        calls = self.record_steps(monkeypatch)
+        modes = []
+        attach = _kernel.attach
+
+        def recording_attach(state, config, rng):
+            kernel = attach(state, config, rng)
+            modes.append(kernel._st.mode)
+            return kernel
+
+        monkeypatch.setattr(_kernel, "attach", recording_attach)
+        for mode in MODES:
+            modes.clear()
+            res = solve(worked_instance(), SolverConfig(mode=mode, max_flips=100))
+            assert res.engine == "c" and res.flips > 0
+            assert modes == [MODES.index(mode)]
+        assert calls == []
+
+    @staticmethod
+    def record_steps(monkeypatch):
         calls = []
 
         def recorder(name):
@@ -376,10 +410,7 @@ class TestSolve:
 
         monkeypatch.setattr(solver_mod, "fps_step", recorder("fps"))
         monkeypatch.setattr(solver_mod, "single_flip_step", recorder("single"))
-        for mode in MODES:
-            calls.clear()
-            solve(worked_instance(), SolverConfig(mode=mode, max_flips=100))
-            assert calls == ["single" if mode == "single" else "fps"], mode
+        return calls
 
     def test_trace_strictly_decreasing(self):
         f = planted_formula(random.Random(9), 12, 12, 20, weighted=True)
@@ -435,6 +466,14 @@ class TestOutputPin:
     }
 
     def test_solve_output_bytes_pinned(self, tmp_path):
+        # whichever engine solve picks: the kernel where it can be built
+        self.check_digests(tmp_path)
+
+    def test_solve_output_bytes_pinned_python(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        self.check_digests(tmp_path)
+
+    def check_digests(self, tmp_path):
         f = conflicted_weighted_instance(random.Random(1), 300, 700, 1400)
         path = tmp_path / "lookahead.wcnf"
         path.write_text(write_wcnf(f))
