@@ -11,8 +11,9 @@ The package is organised around six pieces:
   dynamic clause weighting.
 - :mod:`fps_maxsat.solver`: the search loops.  A single-flip baseline and a
   two-level look-ahead strategy that samples falsified clauses, probes
-  candidate first flips, and picks a partner flip with bounded-sample
-  selection.  ``SolverConfig.mode`` picks one of the five named
+  candidate first flips, and picks a partner flip distributed as the best
+  of ``sv_num`` uniform draws (drawn in closed form, one draw per score
+  level).  ``SolverConfig.mode`` picks one of the five named
   configurations in ``MODES``: the strategy, the baseline, or one of three
   ablations of the strategy's moving parts.
 - :mod:`fps_maxsat._kernel`: the same step loop compiled from C, which

@@ -17,6 +17,7 @@
  * releases what fk_init allocated.  Plain C, no Python headers.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -417,20 +418,46 @@ static int64_t probe(struct fk_state *s, int32_t x)
 
 /* -- solver --------------------------------------------------------------- */
 
-/* bms_pick over the probe result; returns an index into pkeys/pvals */
+/* the largest of vals[0..k) below bound, and in *ties how often it occurs */
+static int64_t level_below(const int64_t *vals, int64_t k, int64_t bound,
+                           int64_t *ties)
+{
+    int64_t i, level = 0, t = 0;
+    for (i = 0; i < k; i++) {
+        if (vals[i] >= bound)
+            continue;
+        if (t == 0 || vals[i] > level) {
+            level = vals[i];
+            t = 1;
+        } else if (vals[i] == level) {
+            t++;
+        }
+    }
+    *ties = t;
+    return level;
+}
+
+/* bms_pick over the probe result; returns an index into pkeys/pvals.
+   pow is the libm function CPython's float ** int calls, so both engines
+   compare random() with the same double. */
 static int64_t bms_pick(struct fk_state *s, int64_t k)
 {
     const int64_t *vals = s->work->pvals;
-    int64_t i, best, t;
+    int64_t i, t, pick, level, remaining = k;
     if (k == 1)
         return 0;
-    best = (int64_t)(rng_random(s) * (double)k);
-    for (t = 1; t < s->sv_num; t++) {
-        i = (int64_t)(rng_random(s) * (double)k);
-        if (vals[i] > vals[best])
-            best = i;
+    level = level_below(vals, k, INT64_MAX, &t);
+    while (t < remaining) {
+        if (rng_random(s) >= pow((double)(remaining - t) / (double)remaining,
+                                 (double)s->sv_num))
+            break;
+        remaining -= t;
+        level = level_below(vals, k, level, &t);
     }
-    return best;
+    pick = t == 1 ? 0 : rng_randrange(s, t);
+    for (i = 0;; i++)
+        if (vals[i] == level && pick-- == 0)
+            return i;
 }
 
 static int random_walk_escape(struct fk_state *s)

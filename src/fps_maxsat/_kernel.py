@@ -11,7 +11,8 @@ update rule must be made in both, and the differential tests compare them.
 :func:`load` compiles the source on first use with the C compiler Python
 was built with, into the package's ``__pycache__`` under a name keyed by
 the source hash, and loads it with ctypes; later processes reuse the
-build.  When there is no compiler, or the build fails, it returns None and
+build, and a new build removes those of other versions of the source.
+When there is no compiler, or the build fails, it returns None and
 the Python engine runs.  :func:`attach` copies a :class:`SearchState` and
 its ``random.Random`` into the kernel; :meth:`Kernel.detach` copies them
 back.
@@ -38,6 +39,8 @@ SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
 #: Never a fast-math flag: the kernel must round floats as Python does.
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: Libraries, placed after the source on the compile line (``pow``).
+LDLIBS = ("-lm",)
 
 # fk_run results (the FK_* enum in _kernel.c)
 BUDGET, IMPROVED, SLICE, DONE, HANDBACK = range(5)
@@ -96,7 +99,7 @@ def _compile(source: Path, target: Path) -> None:
     tmp = target.with_name(f"{target.name}.{os.getpid()}.tmp")
     try:
         subprocess.run(
-            [*_compiler(), *CFLAGS, "-o", str(tmp), str(source)],
+            [*_compiler(), *CFLAGS, "-o", str(tmp), str(source), *LDLIBS],
             check=True,
             capture_output=True,
             timeout=300,
@@ -111,16 +114,25 @@ def _compile(source: Path, target: Path) -> None:
 def build(source: Path, cache_dir: Path) -> Optional[ctypes.CDLL]:
     """The kernel built from ``source``, compiling only when not cached.
 
+    A new build removes the builds of other versions of the source.
     Returns None when the compiler is missing or fails, or the library
     cannot be loaded.
     """
     try:
         # crc32 is cheap to load, unlike hashlib, and ample to tell the
         # versions of one file apart.
-        key = zlib.crc32(source.read_bytes() + " ".join(CFLAGS).encode())
-        target = cache_dir / f"_kernel-{key:08x}-{os.uname().machine}.so"
+        flags = " ".join(CFLAGS + LDLIBS).encode()
+        key = zlib.crc32(source.read_bytes() + flags)
+        machine = os.uname().machine
+        target = cache_dir / f"_kernel-{key:08x}-{machine}.so"
         if not target.exists():
             _compile(source, target)
+            for stale in cache_dir.glob(f"_kernel-*-{machine}.so"):
+                if stale != target:
+                    try:
+                        stale.unlink()
+                    except OSError:
+                        pass
         lib = ctypes.CDLL(str(target))
     except (OSError, AttributeError):
         return None

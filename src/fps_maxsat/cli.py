@@ -22,17 +22,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, TextIO
 
 from .formula import ParseError, parse_wcnf
-from .harness import (
-    bench,
-    config_for_mode,
-    discover_instances,
-    format_report,
-    read_best_known,
-    sweep,
-    write_records_csv,
-)
-from .oracle import exact_solve
-from .solver import MODES, RunStatus, solve
+from .solver import MODES, RunStatus, config_for_mode, solve
 
 USAGE_ERROR = 1
 PARSE_ERROR = 2
@@ -215,6 +205,14 @@ def _output(path: str) -> Iterator[TextIO]:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    from .harness import (
+        bench,
+        discover_instances,
+        format_report,
+        read_best_known,
+        write_records_csv,
+    )
+
     modes = [m for m in args.modes.split(",") if m]
     try:
         instances = discover_instances(args.path)
@@ -247,6 +245,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .harness import discover_instances, read_best_known, sweep
+
     try:
         instances = discover_instances(args.path)
         best_known = (
@@ -287,6 +287,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
+    from .oracle import exact_solve
+
     try:
         formula = parse_wcnf(Path(args.instance).read_bytes())
     except ParseError as exc:

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .formula import INFEASIBLE, parse_wcnf
-from .solver import MODES, RunStatus, SolverConfig, solve
+from .solver import MODES, RunStatus, config_for_mode, solve
 
 CSV_FIELDS = [
     "instance",
@@ -43,15 +43,6 @@ class InstanceRecord:
     cost: Optional[int]
     time_to_best_s: float
     flips: int
-
-
-def config_for_mode(mode: str, **overrides) -> SolverConfig:
-    """Build a :class:`SolverConfig` from a mode label plus overrides.
-
-    Overrides given as None keep the :class:`SolverConfig` default.
-    """
-    kwargs = {k: v for k, v in overrides.items() if v is not None}
-    return SolverConfig(mode=mode, **kwargs)
 
 
 def run_instance(

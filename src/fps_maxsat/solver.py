@@ -11,10 +11,11 @@ The look-ahead strategy samples ``sc_num`` falsified clauses, draws one
 variable from each (deduplicated, order preserved), and pseudo-flips each
 candidate to see one step further: after the pseudo flip, a partner
 variable other than the candidate is picked from the now-positive-score
-set by bounded sampling (``sv_num`` draws, best wins).  A
-candidate-plus-partner pair whose combined score is positive is taken
-immediately (early stop); otherwise the step falls back to the best of the
-single candidate and the best pair seen, preferring the pair on ties.
+set as the best of ``sv_num`` uniform draws, drawn in closed form one
+score level at a time (see :func:`bms_pick`).  A candidate-plus-partner
+pair whose combined score is positive is taken immediately (early stop);
+otherwise the step falls back to the best of the single candidate and the
+best pair seen, preferring the pair on ties.
 
 :data:`MODES` names the configurations, set by ``SolverConfig.mode``:
 
@@ -90,6 +91,15 @@ class SolverConfig:
             raise ValueError(f"max_flips must be >= 0, got {self.max_flips}")
 
 
+def config_for_mode(mode: str, **overrides) -> SolverConfig:
+    """Build a :class:`SolverConfig` from a mode label plus overrides.
+
+    Overrides given as None keep the :class:`SolverConfig` default.
+    """
+    kwargs = {k: v for k, v in overrides.items() if v is not None}
+    return SolverConfig(mode=mode, **kwargs)
+
+
 @dataclass
 class RunResult:
     """Outcome of one solver run.
@@ -119,12 +129,22 @@ def bms_pick(
     sv_num: int,
     rng: random.Random,
 ) -> int:
-    """Best of ``sv_num`` uniform draws with replacement from ``candidates``.
+    """A candidate distributed as the best of ``sv_num`` uniform draws.
+
+    Best-from-multiple-selection draws ``sv_num`` candidates with
+    replacement and keeps the earliest drawn maximum.  Its result is drawn
+    here in closed form, one score level at a time from the top: with
+    ``remaining`` candidates at or below a level held by ``t`` of them,
+    some draw hits that level with probability
+    ``1 - ((remaining - t) / remaining) ** sv_num``; otherwise every draw
+    fell below it.  The earliest drawn of the winning level's members is
+    uniform among them.  So a pick costs one ``random()`` per level visited
+    (none when a level holds every remaining candidate) and one
+    ``randrange(t)`` when the winning level is tied.
 
     ``scores`` is anything subscriptable by variable (the engine's score
-    list, or a mapping of probed scores).  Ties go to the earliest drawn
-    maximum.  A singleton is returned without consuming randomness.
-    Raises ValueError on an empty candidate set.
+    list, or a mapping of probed scores).  A singleton is returned without
+    consuming randomness.  Raises ValueError on an empty candidate set.
     """
     k = len(candidates)
     if k == 0:
@@ -132,17 +152,19 @@ def bms_pick(
     if k == 1:
         return candidates[0]
     vals = [scores[v] for v in candidates]
-    r = rng.random
-    i = int(r() * k)
-    best = candidates[i]
-    best_score = vals[i]
-    for _ in range(sv_num - 1):
-        i = int(r() * k)
-        s = vals[i]
-        if s > best_score:
-            best = candidates[i]
-            best_score = s
-    return best
+    remaining = k
+    level = max(vals)
+    t = vals.count(level)
+    while t < remaining:
+        if rng.random() >= ((remaining - t) / remaining) ** sv_num:
+            break
+        remaining -= t
+        level = max([s for s in vals if s < level])
+        t = vals.count(level)
+    if t == 1:
+        return candidates[vals.index(level)]
+    members = [v for v, s in zip(candidates, vals) if s == level]
+    return members[rng.randrange(t)]
 
 
 def _random_walk_escape(state: SearchState, rng: random.Random) -> bool:

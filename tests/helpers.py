@@ -121,6 +121,27 @@ def probe_reference(state: SearchState, x: int) -> Dict[int, int]:
     return {v: twin.score[v] for v in twin.good_vars.items if v != x}
 
 
+def bms_reference(
+    candidates: Sequence[int], scores, sv_num: int, rng: random.Random
+) -> int:
+    """Best-from-multiple-selection as literally defined: ``sv_num``
+    uniform draws with replacement, the earliest drawn maximum wins.
+
+    ``solver.bms_pick`` draws from the same distribution in closed form.
+    """
+    k = len(candidates)
+    vals = [scores[v] for v in candidates]
+    i = int(rng.random() * k)
+    best = candidates[i]
+    best_score = vals[i]
+    for _ in range(sv_num - 1):
+        i = int(rng.random() * k)
+        if vals[i] > best_score:
+            best = candidates[i]
+            best_score = vals[i]
+    return best
+
+
 def snapshot(state: SearchState) -> Dict[str, object]:
     """Every observable field, as plain immutable values."""
     return {

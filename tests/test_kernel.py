@@ -7,6 +7,7 @@ best solution and the generator state to be equal.
 """
 
 import math
+import os
 import random
 import shutil
 import subprocess
@@ -105,6 +106,16 @@ class TestDifferential:
     def test_lookahead_instance(self, mode):
         assert_engines_agree(
             lookahead_instance(), SolverConfig(mode=mode, seed=7)
+        )
+
+    @pytest.mark.parametrize("sv_num", [1, 2])
+    @pytest.mark.parametrize("mode", ["fps", "fps-always"])
+    def test_partner_from_lower_levels(self, mode, sv_num):
+        # With few BMS draws the partner pick often passes over the top
+        # score level, a branch sv_num = 50 almost never reaches.
+        assert_engines_agree(
+            lookahead_instance(),
+            SolverConfig(mode=mode, seed=7, sv_num=sv_num),
         )
 
     @pytest.mark.parametrize("mode", ["single", "fps-rw"])
@@ -263,7 +274,8 @@ class TestBuild:
             pytest.skip(f"no C compiler found ({compiler[0]})")
         proc = subprocess.run(
             [*compiler, *_kernel.CFLAGS, "-Wall", "-Wextra", "-Werror",
-             "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE)],
+             "-o", str(tmp_path / "kernel.so"), str(_kernel.SOURCE),
+             *_kernel.LDLIBS],
             capture_output=True,
             text=True,
         )
@@ -278,3 +290,15 @@ class TestBuild:
         monkeypatch.setattr(_kernel, "_compiler", lambda: ["/nonexistent/cc"])
         assert _kernel.build(_kernel.SOURCE, tmp_path) is not None
         assert list(tmp_path.glob("*")) == built
+
+    @requires_kernel
+    def test_new_build_removes_stale_builds(self, tmp_path):
+        machine = os.uname().machine
+        stale = tmp_path / f"_kernel-deadbeef-{machine}.so"
+        stale.write_bytes(b"an older build")
+        other = tmp_path / "notes.txt"
+        other.write_text("unrelated")
+        assert _kernel.build(_kernel.SOURCE, tmp_path) is not None
+        built = list(tmp_path.glob("_kernel-*.so"))
+        assert len(built) == 1 and built[0] != stale
+        assert other.read_text() == "unrelated"

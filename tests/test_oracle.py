@@ -104,13 +104,20 @@ class TestLazyNumpy:
     def test_cli_import_does_not_load_numpy(self):
         # numpy is imported inside exact_solve, so every command but
         # `oracle` starts without it, and the process pool only when a
-        # batch runs with several jobs; only a fresh interpreter shows
+        # batch runs with several jobs; the bench harness (and csv) load
+        # only for `bench` and `sweep`.  Only a fresh interpreter shows
         # that.  The child imports the same package copy as this process.
         root = os.path.dirname(os.path.dirname(fps_maxsat.__file__))
         path = os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")])
         )
-        heavy = ("numpy", "concurrent.futures.process", "multiprocessing")
+        heavy = (
+            "numpy",
+            "concurrent.futures.process",
+            "multiprocessing",
+            "fps_maxsat.harness",
+            "csv",
+        )
         code = (
             "import sys, fps_maxsat.cli; "
             f"print([m for m in {heavy!r} if m in sys.modules])"

@@ -30,6 +30,7 @@ from fps_maxsat.solver import (
 )
 
 from helpers import (
+    bms_reference,
     conflicted_weighted_instance,
     planted_formula,
     random_formula,
@@ -86,12 +87,6 @@ class TestSolverConfig:
 
 
 class TestBmsPick:
-    def test_singleton_consumes_no_randomness(self):
-        rng = random.Random(5)
-        before = rng.getstate()
-        assert bms_pick([9], {9: -4}, 50, rng) == 9
-        assert rng.getstate() == before
-
     def test_misses_maximum_only_with_vanishing_probability(self):
         # {a: 5, b: 1}, sv_num=50: picking b requires all 50 draws to
         # miss a, probability 2^-50
@@ -104,13 +99,78 @@ class TestBmsPick:
         for _ in range(50):
             assert bms_pick(cands, scores, 4, rng) in cands
 
-    def test_ties_go_to_first_drawn(self):
-        cands = [4, 5, 6]
-        scores = {4: 2, 5: 2, 6: 2}
+    def test_ties_are_uniform(self):
+        # The earliest drawn of several tied maxima is equally likely to
+        # be any of them, whether or not a lower level is present.
         rng = random.Random(17)
-        twin = random.Random(17)
-        expected = cands[int(twin.random() * 3)]
-        assert bms_pick(cands, scores, 20, rng) == expected
+        n = 6_000
+        for cands, scores in (
+            ([4, 5, 6], {4: 2, 5: 2, 6: 2}),
+            ([4, 5, 6, 7], {4: 2, 5: 1, 6: 2, 7: 2}),
+        ):
+            top = [v for v in cands if scores[v] == 2]
+            counts = dict.fromkeys(cands, 0)
+            for _ in range(n):
+                counts[bms_pick(cands, scores, 50, rng)] += 1
+            for v in top:
+                # 5 standard deviations of a binomial count
+                p = 1 / len(top)
+                assert abs(counts[v] - n * p) < 5 * (n * p * (1 - p)) ** 0.5
+            assert sum(counts[v] for v in top) == n
+
+    def test_draw_counts(self):
+        # A singleton draws nothing, an all-tied set of t draws one
+        # randrange(t), and a two-level set whose top level wins draws one
+        # random(); a twin generator replays exactly those draws.
+        tied = [4, 5, 6]
+        for seed in range(20):
+            rng, twin = random.Random(seed), random.Random(seed)
+            assert bms_pick([9], {9: -4}, 50, rng) == 9
+            assert rng.getstate() == twin.getstate()
+            pick = bms_pick(tied, dict.fromkeys(tied, 2), 50, rng)
+            assert pick == tied[twin.randrange(3)]
+            assert rng.getstate() == twin.getstate()
+            assert bms_pick([1, 2], {1: 5, 2: 1}, 50, rng) == 1
+            assert twin.random() >= 0.5**50
+            assert rng.getstate() == twin.getstate()
+
+    # 0.999 quantiles of the chi-square distribution by degrees of freedom
+    CHI2_999 = {1: 10.83, 2: 13.82, 3: 16.27, 4: 18.47, 5: 20.52}
+
+    @pytest.mark.parametrize("sv_num", [1, 2, 3, 50])
+    @pytest.mark.parametrize(
+        "values",
+        [
+            (5, 1),
+            (3, 3, 1),
+            (2, 7, 7, 2),
+            (5, 5, 3, 3, 3, 1),
+            (3, 1, 2, 1, 3, 2),
+        ],
+    )
+    def test_matches_best_of_sv_num(self, values, sv_num):
+        # Pick frequencies of bms_pick and of the literal best-of-sv_num
+        # loop (helpers.bms_reference) from independent generators, tested
+        # for homogeneity: the two-sample chi-square statistic over the
+        # candidates either rule picked must stay below its 0.999
+        # quantile.  Low sv_num makes lower levels likely, so a rule that
+        # always takes the maximum fails here.
+        cands = [10 + i for i in range(len(values))]
+        scores = dict(zip(cands, values))
+        n = 6_000
+        got = dict.fromkeys(cands, 0)
+        want = dict.fromkeys(cands, 0)
+        rng, ref_rng = random.Random(sv_num), random.Random(1000 + sv_num)
+        for _ in range(n):
+            got[bms_pick(cands, scores, sv_num, rng)] += 1
+            want[bms_reference(cands, scores, sv_num, ref_rng)] += 1
+        cells = [v for v in cands if got[v] + want[v]]
+        chi2 = sum((got[v] - want[v]) ** 2 / (got[v] + want[v])
+                   for v in cells)
+        if len(cells) > 1:
+            assert chi2 < self.CHI2_999[len(cells) - 1], (got, want)
+        else:
+            assert got == want
 
     def test_empty_candidates(self):
         with pytest.raises(ValueError):
@@ -453,16 +513,16 @@ class TestOutputPin:
     # is consumed differently or clause/literal order changed; either must
     # be declared in CHANGES.md together with the new digests.
     PINNED = {
-        "fps": "13d6d4cff840a78c447c6e2c3eb081de"
-               "f4cc72a658c257369b2a4ce467075334",
+        "fps": "ff84e40685ee059b2cac710737d28215"
+               "15a2def16c554adb058c5d9a9b2cd3ec",
         "single": "4f629c944bbff7fc1c0dc70590f6882e"
                   "2b94c7ffb5e926fc854aff7a8ab3c4fa",
-        "fps-rw": "e4dc4f7f508eb7f846774c98584a1131"
-                  "347bb66fe393804eddc4b56607de8349",
+        "fps-rw": "5aea8afa8d9de943bdbf7d4fb300cf05"
+                  "311cd93e0efd2bb31a46fc989c44f660",
         "fps-always": "2eabea8b5e46a3159a579cc15877eb25"
                       "bc5315740534432bbd2068d70304481f",
-        "fps-nostop": "6a732b63129a47a5313d901c985c1c53"
-                      "0f5bc25b4ffa9a286d891d67eb4724e6",
+        "fps-nostop": "573938d9c7fcf345c62edf9de485d579"
+                      "4872e7f133c41cfb089819cfc993560f",
     }
 
     def test_solve_output_bytes_pinned(self, tmp_path):
