@@ -13,9 +13,10 @@ The package is organised around six pieces:
   two-level look-ahead strategy that samples falsified clauses, probes
   candidate first flips, and picks a partner flip distributed as the best
   of ``sv_num`` uniform draws (drawn in closed form, one draw per score
-  level).  ``SolverConfig.mode`` picks one of the five named
-  configurations in ``MODES``: the strategy, the baseline, or one of three
-  ablations of the strategy's moving parts.
+  level).  ``SolverConfig.mode`` picks one of the three named
+  configurations in ``MODES``: the strategy, the single-flip baseline, or
+  the one ablation, which escapes by random walk instead of the
+  best-of-sampled choice.
 - :mod:`fps_maxsat._kernel`: the same step loop compiled from C, which
   ``solve`` uses when it can be built; it takes the same trajectory as the
   Python engine, which remains the reference and the fallback.

@@ -36,7 +36,7 @@ enum {
 enum { FK_OK = 0, FK_NOMEM = -1, FK_BADINPUT = -2, FK_TOOHEAVY = -3 };
 
 /* positions in solver.MODES */
-enum { MODE_FPS, MODE_SINGLE, MODE_FPS_RW, MODE_FPS_ALWAYS, MODE_FPS_NOSTOP };
+enum { MODE_FPS, MODE_SINGLE, MODE_FPS_RW };
 
 /* Scores and weights stay below this bound (see fk_init). */
 #define WEIGHT_BOUND ((int64_t)1 << 62)
@@ -511,18 +511,14 @@ static int fps_step(struct fk_state *s)
     int32_t v1, best_cand = 0, best_partner = 0;
     int64_t s1, s2 = 0;
     int have_pair = 0;
-    int stop_early = s->mode != MODE_FPS_NOSTOP;
 
     if (s->gv_len) {
-        if (s->mode != MODE_FPS_ALWAYS) {
-            flip(s, rng_choose(s, s->gv_items, s->gv_len));
-            return 1;
-        }
-    } else {
-        if (!s->fh_len && !s->fs_len)
-            return 0;
-        update_weights(s);
+        flip(s, rng_choose(s, s->gv_items, s->gv_len));
+        return 1;
     }
+    if (!s->fh_len && !s->fs_len)
+        return 0;
+    update_weights(s);
 
     pool = s->fh_items;
     pool_len = s->fh_len;
@@ -530,8 +526,6 @@ static int fps_step(struct fk_state *s)
         pool = s->fs_items;
         pool_len = s->fs_len;
     }
-    if (!pool_len)
-        return 0; /* unreachable: a positive score needs a falsified clause */
 
     for (t = 0; t < s->sc_num; t++) {
         int32_t c = rng_choose(s, pool, pool_len);
@@ -564,7 +558,7 @@ static int fps_step(struct fk_state *s)
         b = bms_pick(s, npos);
         partner = w->pkeys[b];
         combined = s->score[cand] + w->pvals[b];
-        if (stop_early && combined > 0) {
+        if (combined > 0) {
             flip(s, cand);
             flip(s, partner);
             return 1;
@@ -579,11 +573,6 @@ static int fps_step(struct fk_state *s)
 
     if (s->mode == MODE_FPS_RW)
         return random_walk_escape(s);
-    if (!stop_early && have_pair && s2 > 0) {
-        flip(s, best_cand);
-        flip(s, best_partner);
-        return 1;
-    }
     if (!have_pair || s1 > s2) {
         flip(s, v1);
     } else {

@@ -215,6 +215,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
     modes = [m for m in args.modes.split(",") if m]
     try:
+        config = config_for_mode(
+            "fps",
+            time_limit=args.time_limit,
+            max_flips=args.max_flips,
+            sc_num=args.sc_num,
+            sv_num=args.sv_num,
+        )
         instances = discover_instances(args.path)
         best_known = (
             read_best_known(args.best_known) if args.best_known else None
@@ -224,10 +231,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 instances,
                 modes=modes,
                 seeds=args.seeds,
-                time_limit=args.time_limit,
-                max_flips=args.max_flips,
-                sc_num=args.sc_num,
-                sv_num=args.sv_num,
+                config=config,
                 best_known=best_known,
                 jobs=args.jobs,
                 warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),
@@ -248,6 +252,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from .harness import discover_instances, read_best_known, sweep
 
     try:
+        config = config_for_mode(
+            "fps", time_limit=args.time_limit, max_flips=args.max_flips
+        )
         instances = discover_instances(args.path)
         best_known = (
             read_best_known(args.best_known) if args.best_known else None
@@ -258,8 +265,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 sc_values=args.sc_nums,
                 sv_values=args.sv_nums,
                 seeds=args.seeds,
-                time_limit=args.time_limit,
-                max_flips=args.max_flips,
+                config=config,
                 best_known=best_known,
                 jobs=args.jobs,
                 warn=lambda msg: print(f"warning: {msg}", file=sys.stderr),

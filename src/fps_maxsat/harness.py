@@ -14,12 +14,12 @@ is broken toward the mode that reached its best solution sooner.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from .formula import INFEASIBLE, parse_wcnf
-from .solver import MODES, RunStatus, config_for_mode, solve
+from .solver import RunStatus, SolverConfig, config_for_mode, solve
 
 CSV_FIELDS = [
     "instance",
@@ -46,47 +46,20 @@ class InstanceRecord:
 
 
 def run_instance(
-    path: Union[str, Path],
-    mode: str = "fps",
-    seed: int = 1,
-    time_limit: float = 300.0,
-    max_flips: Optional[int] = None,
-    sc_num: Optional[int] = None,
-    sv_num: Optional[int] = None,
+    path: Union[str, Path], config: SolverConfig
 ) -> InstanceRecord:
-    """Parse one WCNF file and run the given mode on it."""
+    """Parse one WCNF file and solve it with ``config``."""
     formula = parse_wcnf(Path(path).read_bytes())
-    config = config_for_mode(
-        mode,
-        seed=seed,
-        time_limit=time_limit,
-        max_flips=max_flips,
-        sc_num=sc_num,
-        sv_num=sv_num,
-    )
     result = solve(formula, config)
     feasible = result.status is RunStatus.FEASIBLE
     return InstanceRecord(
         instance=str(path),
-        mode=mode,
-        seed=seed,
+        mode=config.mode,
+        seed=config.seed,
         status=result.status.value,
         cost=int(result.best_cost) if feasible else None,
         time_to_best_s=result.time_to_best_s,
         flips=result.flips,
-    )
-
-
-def _run_task(task) -> InstanceRecord:
-    path, mode, seed, time_limit, max_flips, sc_num, sv_num = task
-    return run_instance(
-        path,
-        mode=mode,
-        seed=seed,
-        time_limit=time_limit,
-        max_flips=max_flips,
-        sc_num=sc_num,
-        sv_num=sv_num,
     )
 
 
@@ -95,21 +68,23 @@ def _worker_count(jobs: Optional[int], tasks: int) -> int:
 
 
 def run_batch(
-    tasks: Sequence[tuple], jobs: Optional[int] = None
+    cells: Sequence[Tuple[Union[str, Path], SolverConfig]],
+    jobs: Optional[int] = None,
 ) -> List[InstanceRecord]:
-    """Run (path, mode, seed, time_limit, max_flips, sc, sv) task tuples.
+    """Run ``(path, config)`` cells.
 
-    Results keep task order.  Worker processes are used when ``jobs`` is
-    more than one, at most one per task.
+    Results keep cell order.  Worker processes are used when ``jobs`` is
+    more than one, at most one per cell.
     """
-    workers = _worker_count(jobs, len(tasks))
+    workers = _worker_count(jobs, len(cells))
     if workers <= 1:
-        return [_run_task(t) for t in tasks]
+        return [run_instance(path, config) for path, config in cells]
     # imported here so that `solve` does not load multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
+    paths, configs = zip(*cells)
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_task, tasks))
+        return list(pool.map(run_instance, paths, configs))
 
 
 def mse_score(
@@ -322,17 +297,17 @@ def bench(
     instances: Sequence[Union[str, Path]],
     modes: Sequence[str] = ("fps", "single"),
     seeds: Sequence[int] = (1,),
-    time_limit: float = 300.0,
-    max_flips: Optional[int] = None,
-    sc_num: Optional[int] = None,
-    sv_num: Optional[int] = None,
+    config: Optional[SolverConfig] = None,
     best_known: Optional[Dict[str, int]] = None,
     jobs: Optional[int] = None,
     warn=None,
 ) -> Tuple[List[InstanceRecord], BenchReport]:
     """Run every (instance, mode, seed) cell and summarise.
 
-    A mode named more than once runs once, at its first position.
+    Each cell runs ``config`` (default: :class:`SolverConfig` defaults) with
+    the cell's mode and seed.  A mode or seed named more than once runs
+    once, at its first position.  Every cell's configuration is checked
+    before the first cell runs.
     """
     if not instances:
         raise ValueError("no instances to benchmark")
@@ -340,17 +315,16 @@ def bench(
         raise ValueError("no modes to benchmark")
     if not seeds:
         raise ValueError("no seeds to run")
+    base = config or SolverConfig()
     modes = list(dict.fromkeys(modes))
-    for mode in modes:
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-    tasks = [
-        (str(path), mode, seed, time_limit, max_flips, sc_num, sv_num)
+    seeds = list(dict.fromkeys(seeds))
+    cells = [
+        (path, replace(base, mode=mode, seed=seed))
         for path in instances
         for mode in modes
         for seed in seeds
     ]
-    records = run_batch(tasks, jobs=jobs)
+    records = run_batch(cells, jobs=jobs)
     report = summarize(records, modes, best_known=best_known, warn=warn)
     return records, report
 
@@ -360,15 +334,19 @@ def sweep(
     sc_values: Sequence[int] = (5, 10, 20, 50),
     sv_values: Sequence[int] = (20, 50, 100),
     seeds: Sequence[int] = (1,),
-    time_limit: float = 300.0,
-    max_flips: Optional[int] = None,
+    config: Optional[SolverConfig] = None,
     best_known: Optional[Dict[str, int]] = None,
     jobs: Optional[int] = None,
     warn=None,
 ) -> List[Dict[str, object]]:
-    """Mean score of the full strategy over an (sc_num, sv_num) grid.
+    """Mean score over an (sc_num, sv_num) grid.
 
     Returns one row per grid point: ``{"sc_num", "sv_num", "mean_score"}``.
+    Each cell runs ``config`` (default: :class:`SolverConfig` defaults, so
+    the ``fps`` mode) with the grid point's ``sc_num``/``sv_num`` and the
+    cell's seed.  A value or seed listed more than once runs once, at its
+    first position.
+    Every cell's configuration is checked before the first cell runs.
     Instances without a provided best-known cost are scored against the
     best cost achieved anywhere in the sweep.
     """
@@ -378,25 +356,26 @@ def sweep(
         raise ValueError("empty parameter grid")
     if not seeds:
         raise ValueError("no seeds to run")
-    all_records: Dict[Tuple[int, int], List[InstanceRecord]] = {}
-    for sc in sc_values:
-        for sv in sv_values:
-            tasks = [
-                (str(path), "fps", seed, time_limit, max_flips, sc, sv)
-                for path in instances
-                for seed in seeds
-            ]
-            all_records[(sc, sv)] = run_batch(tasks, jobs=jobs)
-
-    flat = [r for recs in all_records.values() for r in recs]
-    effective = _effective_best_known(flat, best_known, warn=warn)
+    base = config or SolverConfig()
+    grid = [
+        (sc, sv)
+        for sc in dict.fromkeys(sc_values)
+        for sv in dict.fromkeys(sv_values)
+    ]
+    seeds = list(dict.fromkeys(seeds))
+    cells = [
+        (path, replace(base, sc_num=sc, sv_num=sv, seed=seed))
+        for sc, sv in grid
+        for path in instances
+        for seed in seeds
+    ]
+    records = run_batch(cells, jobs=jobs)
+    effective = _effective_best_known(records, best_known, warn=warn)
+    size = len(cells) // len(grid)  # cells per grid point
     rows: List[Dict[str, object]] = []
-    for sc in sc_values:
-        for sv in sv_values:
-            table = score_table(all_records[(sc, sv)], effective)
-            rows.append(
-                {"sc_num": sc, "sv_num": sv, "mean_score": table.average}
-            )
+    for i, (sc, sv) in enumerate(grid):
+        table = score_table(records[i * size:(i + 1) * size], effective)
+        rows.append({"sc_num": sc, "sv_num": sv, "mean_score": table.average})
     return rows
 
 
@@ -417,17 +396,32 @@ def write_records_csv(
 
 
 def read_best_known(path: Union[str, Path]) -> Dict[str, int]:
-    """Read an ``instance,cost`` CSV (header row optional)."""
+    """Read an ``instance,cost`` CSV (header row optional).
+
+    Raises ValueError, naming the file and line, on a row without a cost
+    or a cost that is not a non-negative integer.
+    """
     table: Dict[str, int] = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].startswith("#"):
                 continue
             if row[0].strip() == "instance":
                 continue
+            where = f"{path}:{reader.line_num}"
             if len(row) < 2:
-                raise ValueError(f"malformed best-known row: {row!r}")
-            table[row[0].strip()] = int(row[1])
+                raise ValueError(f"{where}: malformed best-known row: {row!r}")
+            try:
+                cost = int(row[1])
+            except ValueError:
+                cost = -1
+            if cost < 0:
+                raise ValueError(
+                    f"{where}: best-known cost must be a non-negative "
+                    f"integer, got {row[1].strip()!r}"
+                )
+            table[row[0].strip()] = cost
     return table
 
 

@@ -21,12 +21,13 @@ best pair seen, preferring the pair on ties.
 
 - ``fps``: the look-ahead strategy as described above.
 - ``single``: the single-flip baseline.
-- ``fps-rw``: keep the look-ahead and its early stop, but when no early
-  stop fires, escape by random walk instead of the best-of-sampled choice.
-- ``fps-always``: run the look-ahead even when ``good_vars`` is nonempty
-  (weights are still only updated at local optima).
-- ``fps-nostop``: probe every candidate, then flip the best pair if its
-  combined score is positive, falling back to the usual comparison.
+- ``fps-rw``: the one ablation.  Keep the look-ahead and its early stop,
+  but when no early stop fires, escape by random walk instead of the
+  best-of-sampled choice.
+
+``fps`` against ``single`` tests whether pair flips find better local
+optima, and ``fps`` against ``fps-rw`` whether the best-of-sampled escape
+beats a random walk.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ if TYPE_CHECKING:
 
 
 #: Named solver configurations (see the module docstring).
-MODES = ("fps", "single", "fps-rw", "fps-always", "fps-nostop")
+MODES = ("fps", "single", "fps-rw")
 
 
 class RunStatus(Enum):
@@ -216,16 +217,13 @@ def fps_step(
     Returns False when every clause holds (nothing to do).  Otherwise flips
     either one variable or a candidate/partner pair and returns True.
     """
-    mode = config.mode
     gv = state.good_vars
     if gv.items:
-        if mode != "fps-always":
-            state.flip(gv.choose(rng))
-            return True
-    else:
-        if not state.falsified_hard.items and not state.falsified_soft.items:
-            return False
-        state.update_weights(rng)
+        state.flip(gv.choose(rng))
+        return True
+    if not state.falsified_hard.items and not state.falsified_soft.items:
+        return False
+    state.update_weights(rng)
 
     score = state.score
     pool = state.falsified_hard
@@ -256,7 +254,6 @@ def fps_step(
 
     best_pair: Optional[Tuple[int, int]] = None
     s2 = None
-    stop_early = mode != "fps-nostop"
     sv_num = config.sv_num
     probe = state.probed_positive_scores
     for cand in fv:
@@ -267,7 +264,7 @@ def fps_step(
             continue
         partner = bms_pick(list(pos), pos, sv_num, rng)
         combined = score[cand] + pos[partner]
-        if stop_early and combined > 0:
+        if combined > 0:
             state.flip(cand)
             state.flip(partner)
             return True
@@ -275,14 +272,8 @@ def fps_step(
             s2 = combined
             best_pair = (cand, partner)
 
-    if mode == "fps-rw":
+    if config.mode == "fps-rw":
         return _random_walk_escape(state, rng)
-    if not stop_early and best_pair is not None and s2 > 0:
-        # With early stop disabled an improving pair still takes
-        # precedence, even over a single flip of equal or better score.
-        state.flip(best_pair[0])
-        state.flip(best_pair[1])
-        return True
     if best_pair is None or s1 > s2:
         state.flip(v1)
     else:

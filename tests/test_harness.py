@@ -33,7 +33,7 @@ from fps_maxsat.harness import (
     write_records_csv,
     _worker_count,
 )
-from fps_maxsat.solver import MODES
+from fps_maxsat.solver import MODES, SolverConfig
 
 from helpers import conflicted_weighted_instance
 
@@ -54,6 +54,12 @@ def rec(instance, mode, seed=1, cost=0, t=0.0, status="feasible", flips=10):
         time_to_best_s=t,
         flips=flips,
     )
+
+
+def untimed(record):
+    """A record without its timing, which differs between runs."""
+    return (record.instance, record.mode, record.seed, record.status,
+            record.cost, record.flips)
 
 
 @pytest.fixture(params=["c", "python"])
@@ -101,13 +107,9 @@ class TestMseScore:
 
 class TestModes:
     def test_mode_names(self):
-        assert set(MODES) == {
-            "fps",
-            "single",
-            "fps-rw",
-            "fps-always",
-            "fps-nostop",
-        }
+        # the strategy, its baseline and its one ablation, in the order
+        # the kernel's mode enum follows
+        assert MODES == ("fps", "single", "fps-rw")
 
     def test_configs(self):
         for m in MODES:
@@ -140,7 +142,9 @@ class TestWorkerCount:
 
 class TestRunInstance:
     def test_feasible_run(self, worked_file):
-        record = run_instance(worked_file, mode="fps", seed=1, max_flips=10_000)
+        record = run_instance(
+            worked_file, SolverConfig(seed=1, max_flips=10_000)
+        )
         assert record.status == "feasible"
         assert record.cost == 0
         assert record.mode == "fps" and record.seed == 1
@@ -150,22 +154,35 @@ class TestRunInstance:
     def test_infeasible_run(self, tmp_path):
         p = tmp_path / "bad.wcnf"
         p.write_text(CONTRADICTION)
-        record = run_instance(p, mode="single", seed=3, max_flips=500)
+        record = run_instance(
+            p, SolverConfig(mode="single", seed=3, max_flips=500)
+        )
         assert record.status == "no-feasible-found"
         assert record.cost is None
+        assert record.mode == "single" and record.seed == 3
 
     def test_parallel_batch_keeps_order(self, tmp_path):
         a = tmp_path / "a.wcnf"
         b = tmp_path / "b.wcnf"
         a.write_text(WORKED)
         b.write_text(OLD_WEIGHTED)
-        tasks = [
-            (str(a), "fps", 1, 60.0, 500, None, None),
-            (str(b), "fps", 1, 60.0, 500, None, None),
+        config = SolverConfig(time_limit=60.0, max_flips=500)
+        cells = [
+            (a, config),
+            (b, config),
+            (a, SolverConfig(mode="single", seed=2, max_flips=500)),
         ]
-        records = run_batch(tasks, jobs=2)
-        assert [r.instance for r in records] == [str(a), str(b)]
+        records = run_batch(cells, jobs=2)
+        assert [(r.instance, r.mode, r.seed) for r in records] == [
+            (str(a), "fps", 1),
+            (str(b), "fps", 1),
+            (str(a), "single", 2),
+        ]
         assert all(r.status == "feasible" for r in records)
+        # worker processes give the records a serial run gives
+        assert list(map(untimed, records)) == list(
+            map(untimed, run_batch(cells))
+        )
 
 
 class TestScoreTable:
@@ -290,8 +307,7 @@ class TestBench:
             [a, b],
             modes=("fps", "single"),
             seeds=(1, 2),
-            time_limit=60.0,
-            max_flips=2_000,
+            config=SolverConfig(time_limit=60.0, max_flips=2_000),
         )
         assert len(records) == 8
         assert report.num_cells == 4
@@ -303,19 +319,42 @@ class TestBench:
 
         def run():
             records, _ = bench(
-                [a], modes=("fps", "single"), seeds=(1, 2), max_flips=2_000
+                [a],
+                modes=("fps", "single"),
+                seeds=(1, 2),
+                config=SolverConfig(max_flips=2_000),
             )
-            return [
-                (r.instance, r.mode, r.seed, r.status, r.cost, r.flips)
-                for r in records
-            ]
+            return list(map(untimed, records))
 
         assert run() == run()
 
-    def test_requires_instances_and_known_modes(self, worked_file):
+    def test_cells_take_the_base_config(self, worked_file, monkeypatch):
+        seen = []
+        real = harness.run_instance
+
+        def recording(path, config):
+            seen.append(config)
+            return real(path, config)
+
+        monkeypatch.setattr(harness, "run_instance", recording)
+        base = SolverConfig(sc_num=3, sv_num=7, max_flips=300, seed=99)
+        bench([worked_file], modes=("fps-rw", "single"), seeds=(4, 5),
+              config=base)
+        assert [(c.mode, c.seed) for c in seen] == [
+            ("fps-rw", 4), ("fps-rw", 5), ("single", 4), ("single", 5)
+        ]
+        assert all(
+            (c.sc_num, c.sv_num, c.max_flips, c.time_limit)
+            == (3, 7, 300, base.time_limit)
+            for c in seen
+        )
+
+    def test_requires_instances_and_known_modes(self, worked_file,
+                                                no_cell_runs):
         with pytest.raises(ValueError):
             bench([], modes=("fps",))
         with pytest.raises(ValueError, match="unknown mode"):
+            # the bad mode comes last: every cell is built before one runs
             bench([worked_file], modes=("fps", "bogus"))
         with pytest.raises(ValueError, match="no modes"):
             bench([worked_file], modes=())
@@ -330,7 +369,7 @@ class TestSweep:
             sc_values=(5, 10),
             sv_values=(20, 50),
             seeds=(1,),
-            max_flips=1_000,
+            config=SolverConfig(max_flips=1_000),
         )
         assert [(r["sc_num"], r["sv_num"]) for r in rows] == [
             (5, 20),
@@ -348,6 +387,25 @@ class TestSweep:
             sweep([worked_file], sc_values=(), sv_values=(20,))
         with pytest.raises(ValueError, match="no seeds"):
             sweep([worked_file], seeds=())
+
+    def test_repeated_values_run_once(self, worked_file, monkeypatch):
+        seen = []
+        real = harness.run_instance
+
+        def recording(path, config):
+            seen.append((config.sc_num, config.sv_num, config.seed))
+            return real(path, config)
+
+        monkeypatch.setattr(harness, "run_instance", recording)
+        rows = sweep(
+            [worked_file],
+            sc_values=(5, 3, 5),
+            sv_values=(20, 20),
+            seeds=(1, 1),
+            config=SolverConfig(max_flips=300),
+        )
+        assert [(r["sc_num"], r["sv_num"]) for r in rows] == [(5, 20), (3, 20)]
+        assert seen == [(5, 20, 1), (3, 20, 1)]
 
 
 class TestCsvIO:
@@ -388,6 +446,16 @@ class TestCsvIO:
         p.write_text("only-one-column\n")
         with pytest.raises(ValueError, match="malformed"):
             read_best_known(p)
+
+    @pytest.mark.parametrize("cost", ["-3", "4.5", "many"])
+    def test_read_best_known_bad_cost(self, tmp_path, cost):
+        p = tmp_path / "best.csv"
+        p.write_text(f"instance,cost\na.wcnf,4\nb.wcnf,{cost}\n")
+        with pytest.raises(ValueError) as info:
+            read_best_known(p)
+        message = str(info.value)
+        assert message.startswith(f"{p}:3: ")
+        assert "non-negative integer" in message and repr(cost) in message
 
 
 class TestDiscoverInstances:
@@ -687,6 +755,72 @@ class TestCliBenchAndSweep:
         assert [row.split(",")[1] for row in rows] == ["fps", "single"]
         table = capsys.readouterr().out.splitlines()
         assert sum(line.startswith("fps ") for line in table) == 1
+
+    def test_bench_repeated_seed_runs_once(self, worked_file, tmp_path,
+                                           capsys):
+        out = tmp_path / "out.csv"
+        code = main(["bench", str(worked_file), "--modes", "fps",
+                     "--seeds", "1,1", "--max-flips", "1000",
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[1:3] for row in rows] == [["fps", "1"]]
+        assert "cells: 1" in capsys.readouterr().out
+
+    def test_sweep_repeated_values_run_once(self, worked_file, tmp_path,
+                                            capsys):
+        out = tmp_path / "grid.csv"
+        code = main(["sweep", str(worked_file), "--sc-nums", "5,10,5",
+                     "--sv-nums", "20,20", "--seeds", "2,2",
+                     "--max-flips", "1000", "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [
+            ["5", "20"], ["10", "20"]
+        ]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--sc-num", "0"],
+            ["bench", "--sv-num", "-1"],
+            ["bench", "--time-limit", "0"],
+            ["bench", "--max-flips", "-5"],
+            ["sweep", "--sc-nums", "5,0"],
+            ["sweep", "--sv-nums", "20,0"],
+            ["sweep", "--time-limit", "nan"],
+        ],
+        ids=["bench-sc", "bench-sv", "bench-time", "bench-flips",
+             "sweep-sc", "sweep-sv", "sweep-time"],
+    )
+    def test_bad_config_fails_before_any_cell(self, argv, worked_file,
+                                              tmp_path, capsys,
+                                              no_cell_runs):
+        out = tmp_path / "out.csv"
+        code = main([argv[0], str(worked_file), *argv[1:], "--out",
+                     str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    @pytest.mark.parametrize("cost", ["-3", "2.5"])
+    def test_bad_best_known_fails_before_any_cell(self, command, cost,
+                                                  worked_file, tmp_path,
+                                                  capsys, no_cell_runs):
+        table = tmp_path / "best.csv"
+        table.write_text(f"worked.wcnf,{cost}\n")
+        out = tmp_path / "out.csv"
+        code = main([command, str(worked_file), "--best-known", str(table),
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {table}:1: ")
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_bench_unwritable_out(self, worked_file, tmp_path, capsys,
                                   no_cell_runs):

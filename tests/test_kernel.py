@@ -109,7 +109,7 @@ class TestDifferential:
         )
 
     @pytest.mark.parametrize("sv_num", [1, 2])
-    @pytest.mark.parametrize("mode", ["fps", "fps-always"])
+    @pytest.mark.parametrize("mode", ["fps", "fps-rw"])
     def test_partner_from_lower_levels(self, mode, sv_num):
         # With few BMS draws the partner pick often passes over the top
         # score level, a branch sv_num = 50 almost never reaches.

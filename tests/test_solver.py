@@ -1,4 +1,4 @@
-"""Search loops, sampling helpers, ablation toggles, and run plumbing."""
+"""Search loops, sampling helpers, solver modes, and run plumbing."""
 
 import hashlib
 import io
@@ -10,7 +10,7 @@ import pytest
 import fps_maxsat.solver as solver_mod
 from fps_maxsat import _kernel
 from fps_maxsat.cli import main
-from fps_maxsat.engine import SearchState
+from fps_maxsat.engine import SearchState, WeightingParams
 from fps_maxsat.formula import (
     INFEASIBLE,
     Formula,
@@ -303,26 +303,45 @@ class TestFpsStep:
             solver_mod.bms_pick = real_bms
         assert pair_steps > 0  # the interesting branch was exercised
 
+    @staticmethod
+    def no_positive_pair_flips(x2_weight, seed):
+        # Soft clauses, all false at the start: (x1 v x2) w1, (-x1) w2,
+        # (-x2) w<x2_weight>, (-x2 v x3) w2, (-x3) w1.  Scores: x1 -1,
+        # x2 -1 - x2_weight, x3 -1, so no single flip improves and
+        # (x1 v x2) is the only falsified clause.  Probing x1 leaves no
+        # positive score; probing x2 leaves x3 at +1, so the pair (x2, x3)
+        # scores s2 = -x2_weight, never positive, against the single
+        # candidate x1 at s1 = -1.  sp = 1 makes the weight update a
+        # smoothing, a no-op at initial weights.
+        f = Formula.build(
+            num_vars=3,
+            soft=[(1, [1, 2]), (2, [-1]), (x2_weight, [-2]), (2, [-2, 3]),
+                  (1, [-3])],
+        )
+        weighting = WeightingParams(sp=1.0, soft_init_from_weight=True)
+        st = RecordingState(f, weighting, assignment=[False] * 3)
+        assert not st.good_vars.items
+        assert (st.score[1], st.score[2]) == (-1, -1 - x2_weight)
+        assert fps_step(st, SolverConfig(sc_num=50), random.Random(seed))
+        assert dict(st.probe_log) == {1: {}, 2: {3: 1}}
+        return st.flip_log
+
     def test_pair_preferred_on_tie(self):
-        # worked instance: s1 = 0 (scores are 0 at the optimum-adjacent
-        # state) and the pair has combined score 1 > 0, so early stop takes
-        # the pair; without early stop the pair still wins the comparison
-        f = worked_instance()
-        for mode in ("fps", "fps-nostop"):
-            st = SearchState(f, assignment=[False, False])
-            fps_step(st, SolverConfig(mode=mode), random.Random(1))
-            assert st.flips == 2 and st.current_cost == 0
+        # no positive pair, s1 == s2: the pair is flipped
+        for seed in range(3):
+            assert self.no_positive_pair_flips(1, seed) == [2, 3]
+
+    def test_single_preferred_when_better(self):
+        # no positive pair, s1 > s2: the single candidate is flipped
+        for seed in range(3):
+            assert self.no_positive_pair_flips(2, seed) == [1]
 
     def test_early_stop_probes_fewer_candidates(self):
-        f = worked_instance()
-        logs = {}
-        for mode in ("fps", "fps-nostop"):
-            st = RecordingState(f, assignment=[False, False])
-            fps_step(st, SolverConfig(mode=mode), random.Random(3))
-            logs[mode] = list(st.probe_log)
         # with early stop, the scan ends at the first positive pair
-        assert len(logs["fps"]) == 1
-        assert len(logs["fps-nostop"]) >= len(logs["fps"])
+        f = worked_instance()
+        st = RecordingState(f, assignment=[False, False])
+        fps_step(st, SolverConfig(), random.Random(3))
+        assert len(st.probe_log) == 1
 
     def test_random_walk_keeps_lookahead_and_early_stop(self):
         # the random-walk ablation only replaces the final selection; a
@@ -340,21 +359,16 @@ class TestFpsStep:
         assert st.flip_log == [1]
 
     def test_lookahead_always_skips_simple_flip(self):
-        # good_vars nonempty: the default config flips a member without
-        # probing; the always-look-ahead ablation probes anyway and never
-        # bumps weights here
+        # good_vars nonempty: the step flips a member without probing and
+        # without a weight update
         f = Formula.build(num_vars=2, soft=[(1, [1]), (1, [2])])
-        for mode in ("fps", "fps-always"):
-            st = RecordingState(f, assignment=[False, True])
-            assert set(st.good_vars.items) == {1}
-            weights_before = list(st.dyn_weight)
-            assert fps_step(st, SolverConfig(mode=mode), random.Random(5))
-            assert st.dyn_weight == weights_before  # no update either way
-            assert st.flip_log == [1]
-            if mode == "fps-always":
-                assert st.probe_log  # look-ahead ran
-            else:
-                assert not st.probe_log
+        st = RecordingState(f, assignment=[False, True])
+        assert set(st.good_vars.items) == {1}
+        weights_before = list(st.dyn_weight)
+        assert fps_step(st, SolverConfig(), random.Random(5))
+        assert st.dyn_weight == weights_before
+        assert st.flip_log == [1]
+        assert not st.probe_log
 
     def test_all_satisfied_returns_false(self):
         f = Formula.build(num_vars=1, hard=[[1]])
@@ -519,11 +533,10 @@ class TestOutputPin:
                   "2b94c7ffb5e926fc854aff7a8ab3c4fa",
         "fps-rw": "5aea8afa8d9de943bdbf7d4fb300cf05"
                   "311cd93e0efd2bb31a46fc989c44f660",
-        "fps-always": "2eabea8b5e46a3159a579cc15877eb25"
-                      "bc5315740534432bbd2068d70304481f",
-        "fps-nostop": "573938d9c7fcf345c62edf9de485d579"
-                      "4872e7f133c41cfb089819cfc993560f",
     }
+
+    def test_pins_every_mode(self):
+        assert tuple(self.PINNED) == MODES
 
     def test_solve_output_bytes_pinned(self, tmp_path):
         # whichever engine solve picks: the kernel where it can be built
@@ -543,5 +556,8 @@ class TestOutputPin:
                 code = main(["solve", str(path), "--mode", mode,
                              "--seed", "1", "--max-flips", "20000"])
             assert code == 0
-            out = buf.getvalue().encode()
-            assert hashlib.sha256(out).hexdigest() == digest, mode
+            out = buf.getvalue()
+            # a run that never improves on its start would pin nothing
+            assert sum(line.startswith("o ") for line in out.splitlines()) \
+                >= 2, mode
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, mode
