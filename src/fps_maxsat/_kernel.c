@@ -1,14 +1,25 @@
 /*
- * Compiled step loop of fps_maxsat: a line-by-line port of the Python
- * engine (engine.py: SearchState.flip, update_weights,
- * probed_positive_scores, IndexedSet) and of the step functions in
- * solver.py (bms_pick, _random_walk_escape, single_flip_step, fps_step).
+ * Compiled step loop of fps_maxsat: a port of the Python engine
+ * (engine.py: SearchState.flip, update_weights, probed_positive_scores,
+ * IndexedSet) and of the step functions in solver.py (bms_pick,
+ * _random_walk_escape, single_flip_step, fps_step).
  *
  * The Python code is the reference.  Every list, dict and set operation
  * is mirrored in the same order, and the random draws go through a copy
  * of CPython's MT19937 (random.random and randrange), so a run gives the
  * same trajectory, bit for bit, as the Python engine with the same seed.
  * A change to an update rule must be made in both places.
+ *
+ * Two places are not line by line; both keep the reference's order and
+ * results with two structures only the kernel keeps:
+ *  - the soft bump of update_weights visits only the falsified soft
+ *    clauses below soft_cap, read from fs_open, a bitmap over positions
+ *    in fs_items, instead of skipping the capped ones;
+ *  - when a clause drops from two true literals to one, flip and probe
+ *    read the other true variable from tv[c], the XOR of the variables
+ *    whose literal in c is true, instead of scanning the clause.  This
+ *    needs each variable at most once per clause, which SearchState
+ *    guarantees and fk_init checks.
  *
  * The caller (_kernel.py) owns every array in struct fk_state and fills
  * in the sizes, parameters and current state.  fk_init builds what the
@@ -90,6 +101,10 @@ struct fk_work {
     /* fps_step candidates, deduplicated in sampling order */
     int32_t *fv;
     int8_t *seen;
+    /* bit i set when fs_items[i] is below soft_cap; clear from fs_len on */
+    uint64_t *fs_open;
+    /* tv[c]: XOR of the variables whose literal in clause c is true */
+    int32_t *tv;
     int64_t wmax;         /* running maximum of dyn_weight */
     int64_t weight_limit; /* hand back before wmax + increment reaches it */
 };
@@ -172,6 +187,37 @@ static void set_discard(int32_t *items, int32_t *pos, int64_t *len, int32_t x)
     }
 }
 
+/* -- position bitmap ------------------------------------------------------ */
+
+static int bit_get(const uint64_t *bits, int64_t i)
+{
+    return (int)(bits[i >> 6] >> (i & 63)) & 1;
+}
+
+static void bit_put(uint64_t *bits, int64_t i, int v)
+{
+    uint64_t mask = (uint64_t)1 << (i & 63);
+    if (v)
+        bits[i >> 6] |= mask;
+    else
+        bits[i >> 6] &= ~mask;
+}
+
+/* index of the lowest set bit of a nonzero word */
+static int lowest_bit(uint64_t word)
+{
+#if defined(__GNUC__)
+    return __builtin_ctzll(word);
+#else
+    int i = 0;
+    while (!(word & 1)) {
+        word >>= 1;
+        i++;
+    }
+    return i;
+#endif
+}
+
 /* -- engine --------------------------------------------------------------- */
 
 static int32_t var_of(int32_t lit)
@@ -187,6 +233,28 @@ static void gv_add(struct fk_state *s, int32_t y)
 static void gv_discard(struct fk_state *s, int32_t y)
 {
     set_discard(s->gv_items, s->work->gv_pos, &s->gv_len, y);
+}
+
+/* falsified soft clauses; fs_open follows every move in fs_items */
+static void fs_add(struct fk_state *s, int32_t c)
+{
+    struct fk_work *w = s->work;
+    int64_t i = s->fs_len;
+    set_add(s->fs_items, w->fs_pos, &s->fs_len, c);
+    if (s->fs_len > i)
+        bit_put(w->fs_open, i, s->dyn_weight[c] < s->soft_cap);
+}
+
+static void fs_discard(struct fk_state *s, int32_t c)
+{
+    struct fk_work *w = s->work;
+    int32_t i = w->fs_pos[c];
+    if (i < 0)
+        return;
+    set_discard(s->fs_items, w->fs_pos, &s->fs_len, c);
+    /* the last item moved from position fs_len into the hole at i */
+    bit_put(w->fs_open, i, bit_get(w->fs_open, s->fs_len));
+    bit_put(w->fs_open, s->fs_len, 0);
 }
 
 /* occurrence list of x: positive (neg = 0) or negative (neg = 1) */
@@ -212,6 +280,7 @@ static void flip(struct fk_state *s, int32_t x)
         int32_t c = inc_list[i];
         int32_t k = s->sat_count[c];
         s->sat_count[c] = k + 1;
+        w->tv[c] ^= x;
         if (k == 0) {
             wt = s->dyn_weight[c];
             for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
@@ -229,7 +298,7 @@ static void flip(struct fk_state *s, int32_t x)
             if (!s->soft_weight[c]) {
                 set_discard(s->fh_items, w->fh_pos, &s->fh_len, c);
             } else {
-                set_discard(s->fs_items, w->fs_pos, &s->fs_len, c);
+                fs_discard(s, c);
                 s->soft_falsified_weight -= s->soft_weight[c];
             }
         } else if (k == 1) {
@@ -246,6 +315,7 @@ static void flip(struct fk_state *s, int32_t x)
         int32_t c = dec_list[i];
         int32_t k = s->sat_count[c];
         s->sat_count[c] = k - 1;
+        w->tv[c] ^= x;
         if (k == 1) {
             wt = s->dyn_weight[c];
             for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
@@ -264,23 +334,18 @@ static void flip(struct fk_state *s, int32_t x)
             if (!s->soft_weight[c]) {
                 set_add(s->fh_items, w->fh_pos, &s->fh_len, c);
             } else {
-                set_add(s->fs_items, w->fs_pos, &s->fs_len, c);
+                fs_add(s, c);
                 s->soft_falsified_weight += s->soft_weight[c];
             }
         } else if (k == 2) {
-            for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
-                int32_t lit = s->lits[j];
-                int32_t y = var_of(lit);
-                if (y != x && s->assign[y] == (lit > 0)) {
-                    wt = s->dyn_weight[c];
-                    sc = s->score[y];
-                    s->score[y] = sc - wt;
-                    if (0 < sc && sc <= wt)
-                        gv_discard(s, y);
-                    s->crit_var[c] = y;
-                    break;
-                }
-            }
+            /* x is no longer true in c: tv[c] is the one true variable */
+            int32_t y = w->tv[c];
+            wt = s->dyn_weight[c];
+            sc = s->score[y];
+            s->score[y] = sc - wt;
+            if (0 < sc && sc <= wt)
+                gv_discard(s, y);
+            s->crit_var[c] = y;
         }
     }
 
@@ -297,11 +362,28 @@ static void flip(struct fk_state *s, int32_t x)
     }
 }
 
+/* dyn_weight[c] += inc, and the scores of c's variables with it */
+static void bump(struct fk_state *s, int32_t c, int64_t inc)
+{
+    struct fk_work *w = s->work;
+    int64_t j, sc, ns;
+    s->dyn_weight[c] += inc;
+    if (s->dyn_weight[c] > w->wmax)
+        w->wmax = s->dyn_weight[c];
+    for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
+        int32_t y = var_of(s->lits[j]);
+        sc = s->score[y];
+        ns = sc + inc;
+        s->score[y] = ns;
+        if (ns > 0 && 0 >= sc)
+            gv_add(s, y);
+    }
+}
+
 static void update_weights(struct fk_state *s)
 {
     struct fk_work *w = s->work;
-    int64_t i, j, sc, ns;
-    int pass;
+    int64_t i, sc, ns;
     if (rng_random(s) < s->sp) {
         for (i = 0; i < s->m; i++) {
             if (s->sat_count[i] > 0 && s->dyn_weight[i] > s->init_weight[i]) {
@@ -318,26 +400,21 @@ static void update_weights(struct fk_state *s)
         }
         return;
     }
-    /* hard clauses (no cap), then soft clauses below soft_cap */
-    for (pass = 0; pass < 2; pass++) {
-        const int32_t *items = pass ? s->fs_items : s->fh_items;
-        int64_t len = pass ? s->fs_len : s->fh_len;
-        int64_t inc = pass ? s->s_inc : s->h_inc;
-        for (i = 0; i < len; i++) {
-            int32_t c = items[i];
-            if (pass && s->dyn_weight[c] >= s->soft_cap)
-                continue;
-            s->dyn_weight[c] += inc;
-            if (s->dyn_weight[c] > w->wmax)
-                w->wmax = s->dyn_weight[c];
-            for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
-                int32_t y = var_of(s->lits[j]);
-                sc = s->score[y];
-                ns = sc + inc;
-                s->score[y] = ns;
-                if (ns > 0 && 0 >= sc)
-                    gv_add(s, y);
-            }
+    /* Hard clauses (no cap), then soft clauses below soft_cap: the set
+       bits of fs_open, in position order, which is the order of the
+       reference's filtered pass.  Smoothing lowers only satisfied
+       clauses, so it never changes fs_open. */
+    for (i = 0; i < s->fh_len; i++)
+        bump(s, s->fh_items[i], s->h_inc);
+    for (i = 0; i < s->fs_len; i += 64) {
+        uint64_t word = w->fs_open[i >> 6];
+        while (word) {
+            int64_t p = i + lowest_bit(word);
+            int32_t c = s->fs_items[p];
+            word &= word - 1;
+            bump(s, c, s->s_inc);
+            if (s->dyn_weight[c] >= s->soft_cap)
+                bit_put(w->fs_open, p, 0);
         }
     }
 }
@@ -386,14 +463,8 @@ static int64_t probe(struct fk_state *s, int32_t x)
                     delta_add(w, &nkeys, y, wt);
             }
         } else if (k == 2) {
-            for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
-                int32_t lit = s->lits[j];
-                int32_t y = var_of(lit);
-                if (y != x && s->assign[y] == (lit > 0)) {
-                    delta_add(w, &nkeys, y, -s->dyn_weight[c]);
-                    break;
-                }
-            }
+            /* x and one other variable are true in c */
+            delta_add(w, &nkeys, w->tv[c] ^ x, -s->dyn_weight[c]);
         }
     }
     for (i = 0; i < nkeys; i++) {
@@ -608,6 +679,8 @@ void fk_free(struct fk_state *s)
     free(w->pvals);
     free(w->fv);
     free(w->seen);
+    free(w->fs_open);
+    free(w->tv);
     free(w);
     s->work = NULL;
 }
@@ -647,15 +720,18 @@ int fk_init(struct fk_state *s)
     w->pvals = malloc(((size_t)n + 1) * sizeof *w->pvals);
     w->fv = malloc(((size_t)n + 1) * sizeof *w->fv);
     w->seen = calloc((size_t)n + 1, sizeof *w->seen);
+    w->fs_open = calloc((size_t)m / 64 + 1, sizeof *w->fs_open);
+    w->tv = calloc((size_t)m + 1, sizeof *w->tv);
     if (!w->occ_start || !w->occ || !w->fh_pos || !w->fs_pos || !w->gv_pos
         || !w->dval || !w->dmark || !w->dkeys || !w->pkeys || !w->pvals
-        || !w->fv || !w->seen) {
+        || !w->fv || !w->seen || !w->fs_open || !w->tv) {
         fk_free(s);
         return FK_NOMEM;
     }
 
-    /* Every clause needs a literal, and every literal a variable in
-       1..n; the Python engine is left to report anything else. */
+    /* Every clause needs a literal, every literal a variable in 1..n, and
+       no variable may occur twice in a clause (tv needs it); the Python
+       engine is left to report anything else. */
     for (c = 0; c < m; c++) {
         if (s->lit_start[c + 1] <= s->lit_start[c])
             return FK_BADINPUT;
@@ -672,7 +748,8 @@ int fk_init(struct fk_state *s)
         if (w->occ_start[2 * x + 2] - w->occ_start[2 * x] > max_occ)
             max_occ = w->occ_start[2 * x + 2] - w->occ_start[2 * x];
     {
-        /* fill in clause order, using a running cursor per list */
+        /* fill in clause order, using a running cursor per list; a clause
+           already at the end of either list of x names x a second time */
         int64_t *cursor = malloc((size_t)(2 * n + 2) * sizeof *cursor);
         if (!cursor) {
             fk_free(s);
@@ -682,16 +759,31 @@ int fk_init(struct fk_state *s)
         for (c = 0; c < m; c++)
             for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
                 int32_t lit = s->lits[j];
-                w->occ[cursor[2 * (int64_t)var_of(lit) + (lit < 0)]++] = (int32_t)c;
+                int64_t *pair = cursor + 2 * (int64_t)var_of(lit);
+                const int64_t *first = w->occ_start + 2 * (int64_t)var_of(lit);
+                if ((pair[0] > first[0] && w->occ[pair[0] - 1] == c)
+                    || (pair[1] > first[1] && w->occ[pair[1] - 1] == c)) {
+                    free(cursor);
+                    return FK_BADINPUT;
+                }
+                w->occ[pair[lit < 0]++] = (int32_t)c;
             }
         free(cursor);
     }
+    for (c = 0; c < m; c++)
+        for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
+            int32_t lit = s->lits[j];
+            if (s->assign[var_of(lit)] == (lit > 0))
+                w->tv[c] ^= var_of(lit);
+        }
 
     if ((rc = init_positions(w->fh_pos, m, s->fh_items, s->fh_len)) != FK_OK
         || (rc = init_positions(w->fs_pos, m, s->fs_items, s->fs_len)) != FK_OK
         || (rc = init_positions(w->gv_pos, n + 1, s->gv_items, s->gv_len))
                != FK_OK)
         return rc;
+    for (j = 0; j < s->fs_len; j++)
+        bit_put(w->fs_open, j, s->dyn_weight[s->fs_items[j]] < s->soft_cap);
 
     /* |score[y]| <= occurrences(y) * max dyn_weight, so keeping
        max dyn_weight below WEIGHT_BOUND / max_occ keeps every score, and

@@ -193,15 +193,24 @@ def _print_solution(args: argparse.Namespace, result) -> None:
 
 @contextmanager
 def _output(path: str) -> Iterator[TextIO]:
-    """``path`` opened for writing before any cell runs, so that an
-    unwritable path fails at once; removed again if the run fails."""
-    with open(path, "w", newline="") as fh:
-        try:
+    """A temporary file next to ``path``, renamed onto ``path`` when the
+    run succeeds and removed when it fails, so a failed run leaves an
+    existing file as it was.  It is created before any cell runs, so an
+    unwritable path fails at once."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(f"cannot write {path}: it is a directory")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with fh:
             yield fh
-        except BaseException:
-            fh.close()
-            os.unlink(path)
-            raise
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:

@@ -136,7 +136,9 @@ class SearchState:
     ``score[x]`` is the gain in total dynamic weight of satisfied clauses
     from flipping ``x``; ``good_vars`` holds exactly the variables with
     positive score.  ``best_cost``/``best_assign`` track the cheapest
-    feasible assignment seen so far (including the initial one).
+    feasible assignment seen so far (including the initial one).  A
+    clause that names a variable twice (a repeated literal or a
+    tautology) raises ``ValueError``.
     """
 
     __slots__ = (
@@ -182,6 +184,14 @@ class SearchState:
         # The formula's clause and weight tuples are shared, not copied:
         # soft_weight[c] is 0 for a hard clause.
         lits = formula.clauses
+        clause_vars = [tuple(map(abs, clause)) for clause in lits]
+        # One literal per variable per clause, as parse_wcnf and
+        # Formula.build leave it: the true-literal counts of both engines,
+        # and the kernel's XOR of true variables, rest on it.
+        if sum(map(len, map(set, clause_vars))) != sum(map(len, clause_vars)):
+            c = next(c for c, vs in enumerate(clause_vars)
+                     if len(set(vs)) < len(vs))
+            raise ValueError(f"clause {c} names a variable twice: {lits[c]}")
         soft_weight = formula.weights
         hard_init = weighting.hard_init
         if weighting.soft_init_from_weight:
@@ -197,7 +207,7 @@ class SearchState:
                 else:
                     neg_occ[-lit].append(c)
         self.lits = lits
-        self.clause_vars = [tuple(map(abs, clause)) for clause in lits]
+        self.clause_vars = clause_vars
         self.soft_weight = soft_weight
         self.dyn_weight = dyn_weight
         self.init_weight = dyn_weight.copy()

@@ -123,6 +123,18 @@ class TestInit:
         with pytest.raises(ValueError, match="length"):
             SearchState(soft_unit(), assignment=[True, False])
 
+    @pytest.mark.parametrize(
+        "clause", [(1, 2, 1), (-2, 3, -2), (1, -1), (2, 3, -3)],
+        ids=["repeat-pos", "repeat-neg", "tautology", "tautology-last"],
+    )
+    @pytest.mark.parametrize("weight", [0, 4], ids=["hard", "soft"])
+    def test_clause_naming_a_variable_twice_rejected(self, clause, weight):
+        # parse_wcnf and Formula.build normalise such clauses away; a
+        # directly constructed Formula does not.
+        f = Formula(num_vars=3, clauses=((1, 2), clause), weights=(1, weight))
+        with pytest.raises(ValueError, match="clause 1 names a variable"):
+            SearchState(f, rng=random.Random(0))
+
     def test_weighted_initial_weights(self):
         f = parse_wcnf("h 1 2 0\n3 -1 0\n5 2 0\n")
         st = SearchState(f, rng=random.Random(0))

@@ -704,6 +704,41 @@ class TestCliBenchAndSweep:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--modes", "fps,bogus"],
+            ["bench", "--seeds", ","],
+            ["sweep", "--sc-nums", "5,0"],
+        ],
+        ids=["bench-mode", "bench-seeds", "sweep-sc"],
+    )
+    def test_failed_run_keeps_existing_out(self, argv, worked_file, tmp_path,
+                                           capsys):
+        out = tmp_path / "old.csv"
+        out.write_text("keep\n")
+        code = main([argv[0], str(worked_file), *argv[1:], "--max-flips",
+                     "100", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert out.read_text() == "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "old.csv", "worked.wcnf"
+        ]
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_run_replaces_existing_out(self, command, worked_file, tmp_path,
+                                       capsys):
+        out = tmp_path / "old.csv"
+        out.write_text("keep\n")
+        code = main([command, str(worked_file), "--seeds", "1",
+                     "--max-flips", "100", "--out", str(out)])
+        assert code == 0
+        assert out.read_text() != "keep\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "old.csv", "worked.wcnf"
+        ]
+
     def test_bench_writes_csv_and_report(self, tmp_path, capsys):
         d = tmp_path / "inst"
         d.mkdir()
@@ -841,6 +876,20 @@ class TestCliBenchAndSweep:
         assert "Traceback" not in captured.err
         # the file is opened before the run, so no cell ran
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_directory_out_fails_before_any_cell(self, command, worked_file,
+                                                 tmp_path, capsys,
+                                                 no_cell_runs):
+        code = main([command, str(worked_file), "--max-flips", "100",
+                     "--out", str(tmp_path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: cannot write {tmp_path}: it is a directory\n"
+        )
+        assert captured.out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["worked.wcnf"]
 
     def test_sweep_unwritable_out(self, worked_file, tmp_path, capsys,
                                   no_cell_runs):

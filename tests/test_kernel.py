@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fps_maxsat import _kernel
-from fps_maxsat.engine import SearchState
+from fps_maxsat.engine import SearchState, WeightingParams
 from fps_maxsat.formula import Formula
 from fps_maxsat.solver import (
     MODES,
@@ -85,12 +85,16 @@ def kernel_run_to(state, config, rng, flips, improvements):
         kernel.detach()
 
 
-def assert_engines_agree(formula, config, checkpoints=CHECKPOINTS):
-    """Run both engines to each checkpoint; the kernel re-attaches at each."""
+def assert_engines_agree(formula, config, checkpoints=CHECKPOINTS,
+                         weighting=None):
+    """Run both engines to each checkpoint; the kernel re-attaches at each.
+
+    ``weighting`` defaults to the formula's ``WeightingParams.defaults_for``.
+    """
     states = []
     for _ in range(2):
         rng = random.Random(config.seed)
-        states.append((SearchState(formula, rng=rng), rng, []))
+        states.append((SearchState(formula, weighting, rng=rng), rng, []))
     (py, py_rng, py_imp), (c, c_rng, c_imp) = states
     for flips in checkpoints:
         python_run_to(py, config, py_rng, flips, py_imp)
@@ -116,6 +120,18 @@ class TestDifferential:
         assert_engines_agree(
             lookahead_instance(),
             SolverConfig(mode=mode, seed=7, sv_num=sv_num),
+        )
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_soft_clauses_capped_and_smoothed(self, mode):
+        # Soft clauses start at 1 and cap at 2, and half the weight updates
+        # smooth: clauses reach the cap, are smoothed below it while
+        # satisfied and are falsified again, so the kernel's record of
+        # which falsified soft clauses are below the cap keeps changing.
+        weighting = WeightingParams(sp=0.5, soft_cap=2)
+        assert_engines_agree(
+            lookahead_instance(), SolverConfig(mode=mode, seed=7),
+            weighting=weighting,
         )
 
     @pytest.mark.parametrize("mode", ["single", "fps-rw"])
@@ -259,6 +275,20 @@ class TestFallback:
         assert 0 < res.flips and res.engine == "python"
         assert_same_run(res, pure_python(formula, config, monkeypatch))
 
+    @requires_kernel
+    def test_repeated_variable_declined(self):
+        # tv[c] needs one literal per variable per clause; SearchState
+        # refuses such a clause, and so does fk_init.
+        formula = Formula.build(num_vars=3, hard=[[1, 2]], soft=[(1, [-1, 3])])
+        rng = random.Random(1)
+        state = SearchState(formula, rng=rng)
+        kernel = _kernel.attach(state, SolverConfig(), rng)
+        assert kernel is not None
+        kernel.detach()
+        for clause in ((-1, 3, -1), (-1, 3, 1), (3, -1, 3)):
+            state.lits = ((1, 2), clause)
+            assert _kernel.attach(state, SolverConfig(), rng) is None
+
     def test_int32_sizes_declined(self, monkeypatch):
         formula = lookahead_instance()
         rng = random.Random(1)
@@ -302,3 +332,35 @@ class TestBuild:
         built = list(tmp_path.glob("_kernel-*.so"))
         assert len(built) == 1 and built[0] != stale
         assert other.read_text() == "unrelated"
+
+    def test_differential_under_ubsan(self, tmp_path):
+        # The lookahead differential check of every mode, run through a
+        # kernel built with the undefined-behaviour sanitizer.  A report
+        # aborts the child, so a fault fails this test with the report in
+        # its stderr instead of taking the test process down.
+        script = f"""
+import sys
+from fps_maxsat import _kernel
+_kernel.CFLAGS += ("-fsanitize=undefined", "-fno-sanitize-recover=all")
+lib = _kernel.build(_kernel.SOURCE, _kernel.Path({str(tmp_path)!r}))
+if lib is None:
+    sys.exit(77)
+_kernel._lib, _kernel._loaded = lib, True
+from test_kernel import MODES, SolverConfig, assert_engines_agree, \\
+    lookahead_instance
+for mode in MODES:
+    assert_engines_agree(lookahead_instance(), SolverConfig(mode=mode, seed=7))
+"""
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src_dir = os.path.dirname(os.path.dirname(_kernel.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+        if proc.returncode == 77:
+            pytest.skip("the kernel cannot be built with -fsanitize=undefined")
+        assert proc.returncode == 0, proc.stderr
