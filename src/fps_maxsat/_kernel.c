@@ -10,16 +10,11 @@
  * same trajectory, bit for bit, as the Python engine with the same seed.
  * A change to an update rule must be made in both places.
  *
- * Two places are not line by line; both keep the reference's order and
- * results with two structures only the kernel keeps:
- *  - the soft bump of update_weights visits only the falsified soft
- *    clauses below soft_cap, read from fs_open, a bitmap over positions
- *    in fs_items, instead of skipping the capped ones;
- *  - when a clause drops from two true literals to one, flip and probe
- *    read the other true variable from tv[c], the XOR of the variables
- *    whose literal in c is true, instead of scanning the clause.  This
- *    needs each variable at most once per clause, which SearchState
- *    guarantees and fk_init checks.
+ * One place is not line by line: the soft bump of update_weights visits
+ * only the falsified soft clauses below soft_cap, read from fs_open, a
+ * bitmap over positions in fs_items that only the kernel keeps, instead
+ * of skipping the capped ones.  It keeps the reference's order and
+ * results.
  *
  * The caller (_kernel.py) owns every array in struct fk_state and fills
  * in the sizes, parameters and current state.  fk_init builds what the
@@ -76,7 +71,7 @@ struct fk_state {
     int8_t *assign;             /* n + 1, index 0 unused */
     int8_t *best_assign;        /* n + 1 */
     int32_t *sat_count;
-    int32_t *crit_var;
+    int32_t *tv;                /* XOR of the variables true in clause c */
     int64_t *score;             /* n + 1 */
     int32_t *fh_items;          /* falsified hard clauses, capacity m */
     int32_t *fs_items;          /* falsified soft clauses, capacity m */
@@ -103,8 +98,6 @@ struct fk_work {
     int8_t *seen;
     /* bit i set when fs_items[i] is below soft_cap; clear from fs_len on */
     uint64_t *fs_open;
-    /* tv[c]: XOR of the variables whose literal in clause c is true */
-    int32_t *tv;
     int64_t wmax;         /* running maximum of dyn_weight */
     int64_t weight_limit; /* hand back before wmax + increment reaches it */
 };
@@ -279,8 +272,9 @@ static void flip(struct fk_state *s, int32_t x)
     for (i = 0; i < inc_len; i++) {
         int32_t c = inc_list[i];
         int32_t k = s->sat_count[c];
+        int32_t z = s->tv[c];
         s->sat_count[c] = k + 1;
-        w->tv[c] ^= x;
+        s->tv[c] = z ^ x;
         if (k == 0) {
             wt = s->dyn_weight[c];
             for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
@@ -294,7 +288,6 @@ static void flip(struct fk_state *s, int32_t x)
             s->score[x] = sc - wt;
             if (0 < sc && sc <= wt)
                 gv_discard(s, x);
-            s->crit_var[c] = x;
             if (!s->soft_weight[c]) {
                 set_discard(s->fh_items, w->fh_pos, &s->fh_len, c);
             } else {
@@ -302,7 +295,6 @@ static void flip(struct fk_state *s, int32_t x)
                 s->soft_falsified_weight -= s->soft_weight[c];
             }
         } else if (k == 1) {
-            int32_t z = s->crit_var[c];
             sc = s->score[z];
             ns = sc + s->dyn_weight[c];
             s->score[z] = ns;
@@ -314,8 +306,9 @@ static void flip(struct fk_state *s, int32_t x)
     for (i = 0; i < dec_len; i++) {
         int32_t c = dec_list[i];
         int32_t k = s->sat_count[c];
+        int32_t t = s->tv[c] ^ x;
         s->sat_count[c] = k - 1;
-        w->tv[c] ^= x;
+        s->tv[c] = t;
         if (k == 1) {
             wt = s->dyn_weight[c];
             for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
@@ -338,14 +331,12 @@ static void flip(struct fk_state *s, int32_t x)
                 s->soft_falsified_weight += s->soft_weight[c];
             }
         } else if (k == 2) {
-            /* x is no longer true in c: tv[c] is the one true variable */
-            int32_t y = w->tv[c];
+            /* t is the one true variable left in c */
             wt = s->dyn_weight[c];
-            sc = s->score[y];
-            s->score[y] = sc - wt;
+            sc = s->score[t];
+            s->score[t] = sc - wt;
             if (0 < sc && sc <= wt)
-                gv_discard(s, y);
-            s->crit_var[c] = y;
+                gv_discard(s, t);
         }
     }
 
@@ -389,7 +380,7 @@ static void update_weights(struct fk_state *s)
             if (s->sat_count[i] > 0 && s->dyn_weight[i] > s->init_weight[i]) {
                 s->dyn_weight[i] -= 1;
                 if (s->sat_count[i] == 1) {
-                    int32_t z = s->crit_var[i];
+                    int32_t z = s->tv[i];
                     sc = s->score[z];
                     ns = sc + 1;
                     s->score[z] = ns;
@@ -449,7 +440,7 @@ static int64_t probe(struct fk_state *s, int32_t x)
                     delta_add(w, &nkeys, y, -wt);
             }
         } else if (k == 1) {
-            delta_add(w, &nkeys, s->crit_var[c], s->dyn_weight[c]);
+            delta_add(w, &nkeys, s->tv[c], s->dyn_weight[c]);
         }
     }
     for (i = 0; i < dec_len; i++) {
@@ -464,7 +455,7 @@ static int64_t probe(struct fk_state *s, int32_t x)
             }
         } else if (k == 2) {
             /* x and one other variable are true in c */
-            delta_add(w, &nkeys, w->tv[c] ^ x, -s->dyn_weight[c]);
+            delta_add(w, &nkeys, s->tv[c] ^ x, -s->dyn_weight[c]);
         }
     }
     for (i = 0; i < nkeys; i++) {
@@ -680,7 +671,6 @@ void fk_free(struct fk_state *s)
     free(w->fv);
     free(w->seen);
     free(w->fs_open);
-    free(w->tv);
     free(w);
     s->work = NULL;
 }
@@ -721,18 +711,19 @@ int fk_init(struct fk_state *s)
     w->fv = malloc(((size_t)n + 1) * sizeof *w->fv);
     w->seen = calloc((size_t)n + 1, sizeof *w->seen);
     w->fs_open = calloc((size_t)m / 64 + 1, sizeof *w->fs_open);
-    w->tv = calloc((size_t)m + 1, sizeof *w->tv);
     if (!w->occ_start || !w->occ || !w->fh_pos || !w->fs_pos || !w->gv_pos
         || !w->dval || !w->dmark || !w->dkeys || !w->pkeys || !w->pvals
-        || !w->fv || !w->seen || !w->fs_open || !w->tv) {
+        || !w->fv || !w->seen || !w->fs_open) {
         fk_free(s);
         return FK_NOMEM;
     }
 
-    /* Every clause needs a literal, every literal a variable in 1..n, and
-       no variable may occur twice in a clause (tv needs it); the Python
-       engine is left to report anything else. */
+    /* Every clause needs a literal, every literal a variable in 1..n, no
+       variable may occur twice in a clause (tv needs it), and tv[c] must
+       be the XOR of the true variables of c; the Python engine is left to
+       report anything else. */
     for (c = 0; c < m; c++) {
+        int32_t t = 0;
         if (s->lit_start[c + 1] <= s->lit_start[c])
             return FK_BADINPUT;
         for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
@@ -740,7 +731,11 @@ int fk_init(struct fk_state *s)
             if (lit == 0 || lit < -n || lit > n)
                 return FK_BADINPUT;
             w->occ_start[2 * (int64_t)var_of(lit) + (lit < 0) + 1]++;
+            if (s->assign[var_of(lit)] == (lit > 0))
+                t ^= var_of(lit);
         }
+        if (t != s->tv[c])
+            return FK_BADINPUT;
     }
     for (x = 0; x < 2 * n + 2; x++)
         w->occ_start[x + 1] += w->occ_start[x];
@@ -770,12 +765,6 @@ int fk_init(struct fk_state *s)
             }
         free(cursor);
     }
-    for (c = 0; c < m; c++)
-        for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
-            int32_t lit = s->lits[j];
-            if (s->assign[var_of(lit)] == (lit > 0))
-                w->tv[c] ^= var_of(lit);
-        }
 
     if ((rc = init_positions(w->fh_pos, m, s->fh_items, s->fh_len)) != FK_OK
         || (rc = init_positions(w->fs_pos, m, s->fs_items, s->fs_len)) != FK_OK

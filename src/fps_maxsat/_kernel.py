@@ -74,7 +74,7 @@ class _State(ctypes.Structure):
         (name, ctypes.c_void_p)
         for name in (
             "mt", "lit_start", "lits", "soft_weight", "init_weight",
-            "dyn_weight", "assign", "best_assign", "sat_count", "crit_var",
+            "dyn_weight", "assign", "best_assign", "sat_count", "tv",
             "score", "fh_items", "fs_items", "gv_items", "work",
         )
     ]
@@ -202,12 +202,12 @@ class Kernel:
         after."""
         st, b, state = self._st, self._bufs, self._state
         n1 = state.num_vars + 1
-        m = len(state.lits)
+        m = len(state.formula.clauses)
         state.assign[:] = map(bool, b["assign"][:n1])
         state.score[:] = b["score"][:n1].tolist()
         state.dyn_weight[:] = b["dyn_weight"][:m].tolist()
         state.sat_count[:] = b["sat_count"][:m].tolist()
-        state.crit_var[:] = b["crit_var"][:m].tolist()
+        state.tv[:] = b["tv"][:m].tolist()
         state.falsified_hard = IndexedSet(b["fh_items"][: st.fh_len].tolist())
         state.falsified_soft = IndexedSet(b["fs_items"][: st.fs_len].tolist())
         state.good_vars = IndexedSet(b["gv_items"][: st.gv_len].tolist())
@@ -241,7 +241,7 @@ def attach(
         return None
     formula = state.formula
     wp = state.weighting
-    lits = state.lits
+    lits = formula.clauses
     n, m = state.num_vars, len(lits)
     if sum(formula.weights) + formula.soft_offset >= WEIGHT_BOUND:
         return None
@@ -262,7 +262,7 @@ def attach(
             "assign": _buffer("b", state.assign, n),
             "best_assign": _buffer("b", state.best_assign or (), n),
             "sat_count": _buffer("i", state.sat_count, m),
-            "crit_var": _buffer("i", state.crit_var, m),
+            "tv": _buffer("i", state.tv, m),
             "score": _buffer("q", state.score, n),
             "fh_items": _buffer("i", state.falsified_hard.items, m),
             "fs_items": _buffer("i", state.falsified_soft.items, m),

@@ -5,8 +5,9 @@ line for every improvement, then ``s SATISFIABLE`` with a ``v`` line
 (default: one 0/1 character per variable) when a feasible assignment was
 found, ``s UNKNOWN`` otherwise.
 
-Exit codes: 0 on normal completion, 1 on usage errors, 2 on malformed
-instance files.
+Exit codes: 0 on normal completion; 1 on usage errors, on an instance too
+large for the memory available, and when stdout is closed before the
+output ends; 2 on malformed instance files.
 """
 
 from __future__ import annotations
@@ -149,6 +150,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     try:
         result = solve(formula, config, on_improvement=report, stop=stop)
         _print_solution(args, result)
+    except MemoryError:
+        print(f"error: {args.instance}: out of memory", file=sys.stderr)
+        return USAGE_ERROR
     finally:
         for signum, handler in handlers.items():
             signal.signal(signum, handler)
@@ -250,7 +254,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"records written to {args.out}")
@@ -294,7 +298,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     print(f"grid written to {args.out}")
@@ -333,13 +337,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage problems
         return 0 if exc.code == 0 else USAGE_ERROR
-    if args.command == "solve":
-        return _cmd_solve(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    return _cmd_oracle(args)
+    commands = {"solve": _cmd_solve, "bench": _cmd_bench,
+                "sweep": _cmd_sweep, "oracle": _cmd_oracle}
+    try:
+        return commands[args.command](args)
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`): point it at devnull so the
+        # interpreter's flush at exit does not fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

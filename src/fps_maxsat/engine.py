@@ -6,10 +6,11 @@ satisfied clauses if that variable were flipped); and three index sets:
 falsified hard clauses, falsified soft clauses, and ``good_vars`` (variables
 with strictly positive score).
 
-A flip touches only the clauses containing the flipped variable.  Critical
-variables (the single satisfying variable of a clause with one true literal)
-are cached so that a 2-to-1 transition needs one clause scan and everything
-else is O(1) per touched clause.  The index sets change only through
+A flip touches only the clauses containing the flipped variable.  Each
+clause keeps ``tv[c]``, the XOR of its variables whose literal is true: when
+one literal is true, that is the clause's critical variable, so every
+transition is O(1) per touched clause except those that make or break a
+clause, which visit its members.  The index sets change only through
 :class:`IndexedSet`'s own methods.
 
 :meth:`SearchState.probed_positive_scores` looks one flip ahead without
@@ -145,7 +146,6 @@ class SearchState:
         "formula",
         "weighting",
         "num_vars",
-        "lits",
         "clause_vars",
         "soft_weight",
         "pos_occ",
@@ -154,7 +154,7 @@ class SearchState:
         "init_weight",
         "assign",
         "sat_count",
-        "crit_var",
+        "tv",
         "score",
         "falsified_hard",
         "falsified_soft",
@@ -186,8 +186,8 @@ class SearchState:
         lits = formula.clauses
         clause_vars = [tuple(map(abs, clause)) for clause in lits]
         # One literal per variable per clause, as parse_wcnf and
-        # Formula.build leave it: the true-literal counts of both engines,
-        # and the kernel's XOR of true variables, rest on it.
+        # Formula.build leave it: the true-literal counts and the XOR of
+        # true variables rest on it.
         if sum(map(len, map(set, clause_vars))) != sum(map(len, clause_vars)):
             c = next(c for c, vs in enumerate(clause_vars)
                      if len(set(vs)) < len(vs))
@@ -206,7 +206,6 @@ class SearchState:
                     pos_occ[lit].append(c)
                 else:
                     neg_occ[-lit].append(c)
-        self.lits = lits
         self.clause_vars = clause_vars
         self.soft_weight = soft_weight
         self.dyn_weight = dyn_weight
@@ -227,23 +226,24 @@ class SearchState:
         self.assign = assign
 
         sat_count = [0] * len(lits)
-        crit_var = [0] * len(lits)
+        tv = [0] * len(lits)
         score = [0] * (n + 1)
         self.falsified_hard = IndexedSet()
         self.falsified_soft = IndexedSet()
         soft_falsified = 0
         for c, clause_lits in enumerate(lits):
             cnt = 0
-            last_true = 0
+            t = 0
             for lit in clause_lits:
                 if lit > 0:
                     if assign[lit]:
                         cnt += 1
-                        last_true = lit
+                        t ^= lit
                 elif not assign[-lit]:
                     cnt += 1
-                    last_true = -lit
+                    t ^= -lit
             sat_count[c] = cnt
+            tv[c] = t
             if cnt == 0:
                 w = dyn_weight[c]
                 for lit in clause_lits:
@@ -254,10 +254,9 @@ class SearchState:
                     self.falsified_soft.add(c)
                     soft_falsified += soft_weight[c]
             elif cnt == 1:
-                crit_var[c] = last_true
-                score[last_true] -= dyn_weight[c]
+                score[t] -= dyn_weight[c]
         self.sat_count = sat_count
-        self.crit_var = crit_var
+        self.tv = tv
         self.score = score
         self.soft_falsified_weight = soft_falsified
         self.good_vars = IndexedSet(
@@ -307,6 +306,7 @@ class SearchState:
         assign = self.assign
         score = self.score
         sat_count = self.sat_count
+        tv = self.tv
         dyn_weight = self.dyn_weight
         clause_vars = self.clause_vars
         delta: Dict[int, int] = {}
@@ -327,9 +327,8 @@ class SearchState:
                         delta[y] = get(y, 0) - w
             elif k == 1:
                 # the old critical variable is freed
-                z = self.crit_var[c]
+                z = tv[c]
                 delta[z] = get(z, 0) + dyn_weight[c]
-        lits = self.lits
         for c in dec_list:
             k = sat_count[c]
             if k == 1:
@@ -339,12 +338,10 @@ class SearchState:
                     if y != x:
                         delta[y] = get(y, 0) + w
             elif k == 2:
-                # the surviving true literal becomes critical
-                for lit in lits[c]:
-                    y = lit if lit > 0 else -lit
-                    if y != x and assign[y] == (lit > 0):
-                        delta[y] = get(y, 0) - dyn_weight[c]
-                        break
+                # x and one other variable are true in c: that one
+                # becomes critical
+                y = tv[c] ^ x
+                delta[y] = get(y, 0) - dyn_weight[c]
         pos: Dict[int, int] = {}
         for y, d in delta.items():
             s = score[y] + d
@@ -369,9 +366,8 @@ class SearchState:
         assign[x] = new_val
         score = self.score
         sat_count = self.sat_count
-        crit_var = self.crit_var
+        tv = self.tv
         dyn_weight = self.dyn_weight
-        lits = self.lits
         clause_vars = self.clause_vars
         soft_weight = self.soft_weight
         gv = self.good_vars
@@ -384,7 +380,9 @@ class SearchState:
 
         for c in inc_list:
             k = sat_count[c]
+            z = tv[c]
             sat_count[c] = k + 1
+            tv[c] = z ^ x
             if k == 0:
                 # Clause becomes satisfied, critically by x: every member
                 # loses the make-gain, x additionally takes the break-loss.
@@ -398,15 +396,13 @@ class SearchState:
                 score[x] = s - w
                 if 0 < s <= w:
                     gv.discard(x)
-                crit_var[c] = x
                 if not soft_weight[c]:
                     self.falsified_hard.discard(c)
                 else:
                     self.falsified_soft.discard(c)
                     self.soft_falsified_weight -= soft_weight[c]
             elif k == 1:
-                # No longer critical: the old critical variable is freed.
-                z = crit_var[c]
+                # No longer critical: the old critical variable z is freed.
                 s = score[z]
                 ns = s + dyn_weight[c]
                 score[z] = ns
@@ -415,7 +411,9 @@ class SearchState:
 
         for c in dec_list:
             k = sat_count[c]
+            t = tv[c] ^ x
             sat_count[c] = k - 1
+            tv[c] = t
             if k == 1:
                 # Clause becomes falsified: every member gains the make-gain,
                 # x additionally sheds the break-loss it held as critical.
@@ -437,17 +435,12 @@ class SearchState:
                     self.falsified_soft.add(c)
                     self.soft_falsified_weight += soft_weight[c]
             elif k == 2:
-                # Clause becomes critical: find the surviving true literal.
-                for lit in lits[c]:
-                    y = lit if lit > 0 else -lit
-                    if y != x and assign[y] == (lit > 0):
-                        w = dyn_weight[c]
-                        s = score[y]
-                        score[y] = s - w
-                        if 0 < s <= w:
-                            gv.discard(y)
-                        crit_var[c] = y
-                        break
+                # Clause becomes critical: t is its one true variable.
+                w = dyn_weight[c]
+                s = score[t]
+                score[t] = s - w
+                if 0 < s <= w:
+                    gv.discard(t)
 
         self.flips += 1
         if self.falsified_hard.items or self._never_feasible:
@@ -475,12 +468,12 @@ class SearchState:
         if rng.random() < wp.sp:
             sat_count = self.sat_count
             init_weight = self.init_weight
-            crit_var = self.crit_var
+            tv = self.tv
             for c in range(len(dyn_weight)):
                 if sat_count[c] > 0 and dyn_weight[c] > init_weight[c]:
                     dyn_weight[c] -= 1
                     if sat_count[c] == 1:
-                        z = crit_var[c]
+                        z = tv[c]
                         s = score[z]
                         ns = s + 1
                         score[z] = ns

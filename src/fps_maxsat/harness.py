@@ -48,9 +48,15 @@ class InstanceRecord:
 def run_instance(
     path: Union[str, Path], config: SolverConfig
 ) -> InstanceRecord:
-    """Parse one WCNF file and solve it with ``config``."""
-    formula = parse_wcnf(Path(path).read_bytes())
-    result = solve(formula, config)
+    """Parse one WCNF file and solve it with ``config``.
+
+    A MemoryError is raised again with the instance named in its message.
+    """
+    try:
+        formula = parse_wcnf(Path(path).read_bytes())
+        result = solve(formula, config)
+    except MemoryError:
+        raise MemoryError(f"{path}: out of memory") from None
     feasible = result.status is RunStatus.FEASIBLE
     return InstanceRecord(
         instance=str(path),

@@ -10,7 +10,9 @@ engine's case analysis.
 from __future__ import annotations
 
 import copy
+import functools
 import itertools
+import operator
 import random
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -26,7 +28,7 @@ def total_sat_weight(state: SearchState, assign: Sequence[bool]) -> int:
     """Total dynamic weight of clauses satisfied under ``assign`` (1-based)."""
     total = 0
     dyn = state.dyn_weight
-    for c, lits in enumerate(state.lits):
+    for c, lits in enumerate(state.formula.clauses):
         for lit in lits:
             if (lit > 0) == assign[abs(lit)]:
                 total += dyn[c]
@@ -50,12 +52,15 @@ def rescan(state: SearchState) -> Dict[str, object]:
     """All derived structures recomputed from assignment plus weights."""
     assign = state.assign
     sat_count = []
+    tv = []
     falsified_hard = set()
     falsified_soft = set()
     soft_weight = 0
-    for c, lits in enumerate(state.lits):
-        k = sum(1 for lit in lits if (lit > 0) == assign[abs(lit)])
+    for c, lits in enumerate(state.formula.clauses):
+        true_vars = [abs(lit) for lit in lits if (lit > 0) == assign[abs(lit)]]
+        k = len(true_vars)
         sat_count.append(k)
+        tv.append(functools.reduce(operator.xor, true_vars, 0))
         if k == 0:
             if not state.soft_weight[c]:
                 falsified_hard.add(c)
@@ -66,6 +71,7 @@ def rescan(state: SearchState) -> Dict[str, object]:
     good_vars = {x for x in range(1, state.num_vars + 1) if scores[x] > 0}
     return {
         "sat_count": sat_count,
+        "tv": tv,
         "score": scores,
         "falsified_hard": falsified_hard,
         "falsified_soft": falsified_soft,
@@ -79,6 +85,7 @@ def assert_state_consistent(state: SearchState) -> None:
     """Exact-equality check of every incrementally maintained quantity."""
     ref = rescan(state)
     assert list(state.sat_count) == ref["sat_count"]
+    assert list(state.tv) == ref["tv"]
     assert list(state.score) == ref["score"]
     assert set(state.falsified_hard.items) == ref["falsified_hard"]
     assert set(state.falsified_soft.items) == ref["falsified_soft"]
@@ -104,7 +111,7 @@ def flipped_copy(state: SearchState, x: int) -> SearchState:
     the clause tables and the dynamic weights, are shared.
     """
     twin = copy.copy(state)
-    for name in ("assign", "score", "sat_count", "crit_var"):
+    for name in ("assign", "score", "sat_count", "tv"):
         setattr(twin, name, list(getattr(state, name)))
     for name in ("falsified_hard", "falsified_soft", "good_vars"):
         setattr(twin, name, IndexedSet(getattr(state, name).items))
@@ -147,6 +154,7 @@ def snapshot(state: SearchState) -> Dict[str, object]:
     return {
         "assign": tuple(state.assign),
         "sat_count": tuple(state.sat_count),
+        "tv": tuple(state.tv),
         "score": tuple(state.score),
         "dyn_weight": tuple(state.dyn_weight),
         "falsified_hard": frozenset(state.falsified_hard.items),
@@ -157,10 +165,6 @@ def snapshot(state: SearchState) -> Dict[str, object]:
         "best_cost": state.best_cost,
         "best_assign": (
             None if state.best_assign is None else tuple(state.best_assign)
-        ),
-        "crit_when_critical": tuple(
-            state.crit_var[c] if state.sat_count[c] == 1 else None
-            for c in range(len(state.sat_count))
         ),
         "current_cost": state.current_cost,
     }

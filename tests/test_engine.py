@@ -140,7 +140,7 @@ class TestInit:
         st = SearchState(f, rng=random.Random(0))
         assert st.dyn_weight == [4, 3, 5]
         # the formula's clause and weight tuples are shared, not copied
-        assert st.lits is f.clauses and st.soft_weight is f.weights
+        assert st.soft_weight is f.weights
 
     def test_unweighted_initial_weights(self):
         f = parse_wcnf("h 1 2 0\n1 -1 0\n1 2 0\n")
@@ -191,7 +191,7 @@ class TestFlip:
             after = snapshot(st)
             for key in ("assign", "sat_count", "score", "dyn_weight",
                         "falsified_hard", "falsified_soft", "good_vars",
-                        "soft_falsified_weight", "crit_when_critical",
+                        "soft_falsified_weight", "tv",
                         "current_cost"):
                 assert after[key] == before[key], key
             assert after["flips"] == before["flips"] + 2

@@ -4,6 +4,7 @@ import csv
 import json
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -636,6 +637,51 @@ class TestCliInterrupt:
         (model,) = [line[2:] for line in lines if line.startswith("v ")]
         assignment = [ch == "1" for ch in model]
         assert evaluate_cost(formula, assignment) == costs[-1]
+
+
+class TestCliFailures:
+    MAIN = ("import sys; from fps_maxsat.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+
+    @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+    def test_oversized_instance_out_of_memory(self, command, tmp_path):
+        # 2e8 variables would take about 40 GB; never run this file
+        # without the address-space limit the child sets for itself.
+        path = tmp_path / "huge.wcnf"
+        path.write_text("p wcnf 200000000 1 10\n3 1 0\n")
+        limit = 256 * 2**20
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        args = [command, str(path), "--max-flips", "10"]
+        if command != "solve":
+            args += ["--out", str(tmp_path / "out.csv")]
+        proc = run_cli(self.MAIN, *args, preexec_fn=cap_memory)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, err
+        assert err == f"error: {path}: out of memory\n"
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_closed_stdout(self, tmp_path):
+        # `solve ... | head -1`: the reader goes away after the first line
+        formula = conflicted_weighted_instance(
+            random.Random(1), 300, 700, 1400
+        )
+        path = tmp_path / "long.wcnf"
+        path.write_text(write_wcnf(formula))
+        proc = run_cli(self.MAIN, "solve", str(path), "--seed", "2",
+                       "--time-limit", "1")
+        try:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert first.startswith("o "), first
+        assert "Traceback" not in err, err
+        assert proc.returncode == 1
 
 
 class TestCliOracle:

@@ -28,7 +28,11 @@ from fps_maxsat.solver import (
     solve,
 )
 
-from helpers import assert_state_consistent, conflicted_weighted_instance
+from helpers import (
+    assert_state_consistent,
+    conflicted_weighted_instance,
+    rescan,
+)
 
 requires_kernel = pytest.mark.skipif(
     _kernel.load() is None, reason="the C kernel cannot be built here"
@@ -47,7 +51,7 @@ def full_snapshot(state, rng):
         "assign": list(state.assign),
         "score": list(state.score),
         "sat_count": list(state.sat_count),
-        "crit_var": list(state.crit_var),
+        "tv": list(state.tv),
         "dyn_weight": list(state.dyn_weight),
         "falsified_hard": list(state.falsified_hard.items),
         "falsified_soft": list(state.falsified_soft.items),
@@ -286,8 +290,26 @@ class TestFallback:
         assert kernel is not None
         kernel.detach()
         for clause in ((-1, 3, -1), (-1, 3, 1), (3, -1, 3)):
-            state.lits = ((1, 2), clause)
+            state.formula = Formula(
+                num_vars=3, clauses=((1, 2), clause), weights=(0, 1)
+            )
+            # tv as fk_init computes it, so only the repeat is at fault
+            state.tv[:] = rescan(state)["tv"]
             assert _kernel.attach(state, SolverConfig(), rng) is None
+
+    @requires_kernel
+    def test_wrong_true_variables_declined(self):
+        # fk_init checks every tv[c] against the assignment: a state whose
+        # record of true variables is off stays in Python.
+        formula = lookahead_instance()
+        rng = random.Random(1)
+        state = SearchState(formula, rng=rng)
+        kernel = _kernel.attach(state, SolverConfig(), rng)
+        assert kernel is not None
+        kernel.detach()
+        c = next(c for c, k in enumerate(state.sat_count) if k == 1)
+        state.tv[c] ^= 1
+        assert _kernel.attach(state, SolverConfig(), rng) is None
 
     def test_int32_sizes_declined(self, monkeypatch):
         formula = lookahead_instance()
