@@ -16,10 +16,13 @@
  * of skipping the capped ones.  It keeps the reference's order and
  * results.
  *
- * The caller (_kernel.py) owns every array in struct fk_state and fills
- * in the sizes, parameters and current state.  fk_init builds what the
- * kernel derives (occurrence lists, set positions, scratch space, all
- * sized from n and m); fk_run advances the search for one slice; fk_free
+ * The caller (_kernel.py) fills in the sizes, the parameters, the
+ * generator state and the formula's arrays, which it owns.  fk_init
+ * allocates and builds everything else: the initial weights, the
+ * assignment (n random() < 0.5 draws, as SearchState.__init__ makes
+ * them), the true-literal counts, scores and index sets in the order
+ * SearchState.__init__ fills them, and the kernel's own occurrence lists
+ * and scratch space.  fk_run advances the search for one slice; fk_free
  * releases what fk_init allocated.  Plain C, no Python headers.
  */
 
@@ -52,7 +55,10 @@ enum { MODE_FPS, MODE_SINGLE, MODE_FPS_RW };
 
 struct fk_work;
 
-/* Shared with _kernel.py; field order and types must match its _State. */
+/* Shared with _kernel.py; field order and types must match its _State.
+   The caller sets the sizes, the parameters, mt_index, mt and the formula
+   arrays; fk_init builds the rest.  The two fields only fk_init reads come
+   last, so that the step loop's fields keep low offsets. */
 struct fk_state {
     int64_t n, m;
     int64_t mode, sc_num, sv_num;
@@ -62,11 +68,11 @@ struct fk_state {
     int64_t soft_falsified_weight, flips, best_cost, has_best;
     int64_t fh_len, fs_len, gv_len;
     int64_t mt_index;
-    uint32_t *mt;               /* MT_N words */
+    uint32_t *mt;               /* MT_N words, advanced in place */
     const int32_t *lit_start;   /* m + 1 offsets into lits */
     const int32_t *lits;
-    const int64_t *soft_weight; /* 0 marks a hard clause */
-    const int64_t *init_weight;
+    const int64_t *soft_weight; /* 0 marks a hard clause; all below 2^62 */
+    int64_t *init_weight;
     int64_t *dyn_weight;
     int8_t *assign;             /* n + 1, index 0 unused */
     int8_t *best_assign;        /* n + 1 */
@@ -77,6 +83,7 @@ struct fk_state {
     int32_t *fs_items;          /* falsified soft clauses, capacity m */
     int32_t *gv_items;          /* positive-score variables, capacity n */
     struct fk_work *work;
+    int64_t hard_init, soft_init_from_weight;
 };
 
 struct fk_work {
@@ -656,6 +663,19 @@ static double now_s(void)
 void fk_free(struct fk_state *s)
 {
     struct fk_work *w = s->work;
+    free(s->init_weight);
+    free(s->dyn_weight);
+    free(s->assign);
+    free(s->best_assign);
+    free(s->sat_count);
+    free(s->tv);
+    free(s->score);
+    free(s->fh_items);
+    free(s->fs_items);
+    free(s->gv_items);
+    s->init_weight = s->dyn_weight = s->score = NULL;
+    s->assign = s->best_assign = NULL;
+    s->sat_count = s->tv = s->fh_items = s->fs_items = s->gv_items = NULL;
     if (!w)
         return;
     free(w->occ_start);
@@ -675,55 +695,57 @@ void fk_free(struct fk_state *s)
     s->work = NULL;
 }
 
-static int init_positions(int32_t *pos, int64_t size, const int32_t *items,
-                          int64_t len)
+/* Everything fk_init allocates; the caller frees a partial set with
+   fk_free. */
+static int allocate(struct fk_state *s)
 {
-    int64_t i;
-    for (i = 0; i < size; i++)
-        pos[i] = -1;
-    for (i = 0; i < len; i++) {
-        if (items[i] < 0 || items[i] >= size || pos[items[i]] >= 0)
-            return FK_BADINPUT;
-        pos[items[i]] = (int32_t)i;
-    }
-    return FK_OK;
-}
-
-int fk_init(struct fk_state *s)
-{
-    int64_t n = s->n, m = s->m, c, j, x, max_occ = 1;
-    int64_t inc = s->h_inc > s->s_inc ? s->h_inc : s->s_inc;
+    size_t n1 = (size_t)s->n + 1, m1 = (size_t)s->m + 1;
     struct fk_work *w = calloc(1, sizeof *w);
-    int rc;
     s->work = w;
     if (!w)
         return FK_NOMEM;
-    w->occ_start = calloc((size_t)(2 * n + 3), sizeof *w->occ_start);
-    w->occ = malloc(((size_t)s->lit_start[m] + 1) * sizeof *w->occ);
-    w->fh_pos = malloc(((size_t)m + 1) * sizeof *w->fh_pos);
-    w->fs_pos = malloc(((size_t)m + 1) * sizeof *w->fs_pos);
-    w->gv_pos = malloc(((size_t)n + 1) * sizeof *w->gv_pos);
-    w->dval = calloc((size_t)n + 1, sizeof *w->dval);
-    w->dmark = calloc((size_t)n + 1, sizeof *w->dmark);
-    w->dkeys = malloc(((size_t)n + 1) * sizeof *w->dkeys);
-    w->pkeys = malloc(((size_t)n + 1) * sizeof *w->pkeys);
-    w->pvals = malloc(((size_t)n + 1) * sizeof *w->pvals);
-    w->fv = malloc(((size_t)n + 1) * sizeof *w->fv);
-    w->seen = calloc((size_t)n + 1, sizeof *w->seen);
-    w->fs_open = calloc((size_t)m / 64 + 1, sizeof *w->fs_open);
-    if (!w->occ_start || !w->occ || !w->fh_pos || !w->fs_pos || !w->gv_pos
-        || !w->dval || !w->dmark || !w->dkeys || !w->pkeys || !w->pvals
-        || !w->fv || !w->seen || !w->fs_open) {
-        fk_free(s);
+    s->init_weight = malloc(m1 * sizeof *s->init_weight);
+    s->dyn_weight = malloc(m1 * sizeof *s->dyn_weight);
+    s->assign = calloc(n1, sizeof *s->assign);
+    s->best_assign = calloc(n1, sizeof *s->best_assign);
+    s->sat_count = malloc(m1 * sizeof *s->sat_count);
+    s->tv = malloc(m1 * sizeof *s->tv);
+    s->score = calloc(n1, sizeof *s->score);
+    s->fh_items = malloc(m1 * sizeof *s->fh_items);
+    s->fs_items = malloc(m1 * sizeof *s->fs_items);
+    s->gv_items = malloc(n1 * sizeof *s->gv_items);
+    w->occ_start = calloc(2 * n1 + 1, sizeof *w->occ_start);
+    w->occ = malloc(((size_t)s->lit_start[s->m] + 1) * sizeof *w->occ);
+    w->fh_pos = malloc(m1 * sizeof *w->fh_pos);
+    w->fs_pos = malloc(m1 * sizeof *w->fs_pos);
+    w->gv_pos = malloc(n1 * sizeof *w->gv_pos);
+    w->dval = calloc(n1, sizeof *w->dval);
+    w->dmark = calloc(n1, sizeof *w->dmark);
+    w->dkeys = malloc(n1 * sizeof *w->dkeys);
+    w->pkeys = malloc(n1 * sizeof *w->pkeys);
+    w->pvals = malloc(n1 * sizeof *w->pvals);
+    w->fv = malloc(n1 * sizeof *w->fv);
+    w->seen = calloc(n1, sizeof *w->seen);
+    w->fs_open = calloc((size_t)s->m / 64 + 1, sizeof *w->fs_open);
+    if (!s->init_weight || !s->dyn_weight || !s->assign || !s->best_assign
+        || !s->sat_count || !s->tv || !s->score || !s->fh_items
+        || !s->fs_items || !s->gv_items || !w->occ_start || !w->occ
+        || !w->fh_pos || !w->fs_pos || !w->gv_pos || !w->dval || !w->dmark
+        || !w->dkeys || !w->pkeys || !w->pvals || !w->fv || !w->seen
+        || !w->fs_open)
         return FK_NOMEM;
-    }
+    return FK_OK;
+}
 
-    /* Every clause needs a literal, every literal a variable in 1..n, no
-       variable may occur twice in a clause (tv needs it), and tv[c] must
-       be the XOR of the true variables of c; the Python engine is left to
-       report anything else. */
-    for (c = 0; c < m; c++) {
-        int32_t t = 0;
+/* Occurrence lists in clause order.  Every clause needs a literal, every
+   literal a variable in 1..n, and no variable may occur twice in a clause
+   (tv needs it); the Python engine is left to report anything else.
+   Sets *max_occ to the longest list of a variable (both signs). */
+static int build_occurrences(struct fk_state *s, int64_t *max_occ)
+{
+    struct fk_work *w = s->work;
+    int64_t n = s->n, c, j, x, *cursor;
+    for (c = 0; c < s->m; c++) {
         if (s->lit_start[c + 1] <= s->lit_start[c])
             return FK_BADINPUT;
         for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
@@ -731,59 +753,108 @@ int fk_init(struct fk_state *s)
             if (lit == 0 || lit < -n || lit > n)
                 return FK_BADINPUT;
             w->occ_start[2 * (int64_t)var_of(lit) + (lit < 0) + 1]++;
-            if (s->assign[var_of(lit)] == (lit > 0))
-                t ^= var_of(lit);
         }
-        if (t != s->tv[c])
-            return FK_BADINPUT;
     }
     for (x = 0; x < 2 * n + 2; x++)
         w->occ_start[x + 1] += w->occ_start[x];
+    *max_occ = 1;
     for (x = 1; x <= n; x++)
-        if (w->occ_start[2 * x + 2] - w->occ_start[2 * x] > max_occ)
-            max_occ = w->occ_start[2 * x + 2] - w->occ_start[2 * x];
-    {
-        /* fill in clause order, using a running cursor per list; a clause
-           already at the end of either list of x names x a second time */
-        int64_t *cursor = malloc((size_t)(2 * n + 2) * sizeof *cursor);
-        if (!cursor) {
-            fk_free(s);
-            return FK_NOMEM;
-        }
-        memcpy(cursor, w->occ_start, (size_t)(2 * n + 2) * sizeof *cursor);
-        for (c = 0; c < m; c++)
-            for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
-                int32_t lit = s->lits[j];
-                int64_t *pair = cursor + 2 * (int64_t)var_of(lit);
-                const int64_t *first = w->occ_start + 2 * (int64_t)var_of(lit);
-                if ((pair[0] > first[0] && w->occ[pair[0] - 1] == c)
-                    || (pair[1] > first[1] && w->occ[pair[1] - 1] == c)) {
-                    free(cursor);
-                    return FK_BADINPUT;
-                }
-                w->occ[pair[lit < 0]++] = (int32_t)c;
+        if (w->occ_start[2 * x + 2] - w->occ_start[2 * x] > *max_occ)
+            *max_occ = w->occ_start[2 * x + 2] - w->occ_start[2 * x];
+    /* fill using a running cursor per list; a clause already at the end
+       of either list of x names x a second time */
+    cursor = malloc((size_t)(2 * n + 2) * sizeof *cursor);
+    if (!cursor)
+        return FK_NOMEM;
+    memcpy(cursor, w->occ_start, (size_t)(2 * n + 2) * sizeof *cursor);
+    for (c = 0; c < s->m; c++)
+        for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
+            int32_t lit = s->lits[j];
+            int64_t *pair = cursor + 2 * (int64_t)var_of(lit);
+            const int64_t *first = w->occ_start + 2 * (int64_t)var_of(lit);
+            if ((pair[0] > first[0] && w->occ[pair[0] - 1] == c)
+                || (pair[1] > first[1] && w->occ[pair[1] - 1] == c)) {
+                free(cursor);
+                return FK_BADINPUT;
             }
-        free(cursor);
-    }
+            w->occ[pair[lit < 0]++] = (int32_t)c;
+        }
+    free(cursor);
+    return FK_OK;
+}
 
-    if ((rc = init_positions(w->fh_pos, m, s->fh_items, s->fh_len)) != FK_OK
-        || (rc = init_positions(w->fs_pos, m, s->fs_items, s->fs_len)) != FK_OK
-        || (rc = init_positions(w->gv_pos, n + 1, s->gv_items, s->gv_len))
-               != FK_OK)
+int fk_init(struct fk_state *s)
+{
+    struct fk_work *w;
+    int64_t n = s->n, m = s->m, c, j, x, max_occ;
+    int64_t inc = s->h_inc > s->s_inc ? s->h_inc : s->s_inc;
+    int rc;
+    if ((rc = allocate(s)) != FK_OK
+        || (rc = build_occurrences(s, &max_occ)) != FK_OK)
         return rc;
-    for (j = 0; j < s->fs_len; j++)
-        bit_put(w->fs_open, j, s->dyn_weight[s->fs_items[j]] < s->soft_cap);
+    w = s->work;
 
-    /* |score[y]| <= occurrences(y) * max dyn_weight, so keeping
+    /* Initial weights: hard clauses hard_init, soft ones their weight or
+       1.  |score[y]| <= occurrences(y) * max dyn_weight, so keeping
        max dyn_weight below WEIGHT_BOUND / max_occ keeps every score, and
        the sum of two, inside int64. */
     w->wmax = 1;
-    for (c = 0; c < m; c++)
-        if (s->dyn_weight[c] > w->wmax)
-            w->wmax = s->dyn_weight[c];
+    for (c = 0; c < m; c++) {
+        int64_t wt = !s->soft_weight[c] ? s->hard_init
+                     : s->soft_init_from_weight ? s->soft_weight[c] : 1;
+        s->init_weight[c] = s->dyn_weight[c] = wt;
+        if (wt > w->wmax)
+            w->wmax = wt;
+    }
     w->weight_limit = WEIGHT_BOUND / max_occ;
     if (w->wmax >= w->weight_limit || inc >= w->weight_limit)
         return FK_TOOHEAVY;
+
+    for (x = 1; x <= n; x++)
+        s->assign[x] = rng_random(s) < 0.5;
+    for (c = 0; c < m; c++)
+        w->fh_pos[c] = w->fs_pos[c] = -1;
+    for (x = 0; x <= n; x++)
+        w->gv_pos[x] = -1;
+    s->fh_len = s->fs_len = s->gv_len = 0;
+    s->soft_falsified_weight = 0;
+    for (c = 0; c < m; c++) {
+        int32_t cnt = 0, t = 0;
+        for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
+            int32_t lit = s->lits[j];
+            if (s->assign[var_of(lit)] == (lit > 0)) {
+                cnt++;
+                t ^= var_of(lit);
+            }
+        }
+        s->sat_count[c] = cnt;
+        s->tv[c] = t;
+        if (cnt == 0) {
+            for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++)
+                s->score[var_of(s->lits[j])] += s->dyn_weight[c];
+            if (!s->soft_weight[c]) {
+                set_add(s->fh_items, w->fh_pos, &s->fh_len, (int32_t)c);
+            } else {
+                set_add(s->fs_items, w->fs_pos, &s->fs_len, (int32_t)c);
+                s->soft_falsified_weight += s->soft_weight[c];
+            }
+        } else if (cnt == 1) {
+            s->score[t] -= s->dyn_weight[c];
+        }
+    }
+    for (x = 1; x <= n; x++)
+        if (s->score[x] > 0)
+            gv_add(s, (int32_t)x);
+    /* not through fs_add: a second caller keeps gcc from inlining it into
+       flip, which cost the walk 3% of its flips/s */
+    for (j = 0; j < s->fs_len; j++)
+        bit_put(w->fs_open, j, s->dyn_weight[s->fs_items[j]] < s->soft_cap);
+
+    s->flips = 0;
+    s->has_best = !s->never_feasible && !s->fh_len;
+    s->best_cost = s->has_best ? s->soft_falsified_weight + s->offset : 0;
+    if (s->has_best)
+        memcpy(s->best_assign, s->assign, (size_t)n + 1);
     return FK_OK;
 }
 

@@ -13,9 +13,11 @@ was built with, into the package's ``__pycache__`` under a name keyed by
 the source hash, and loads it with ctypes; later processes reuse the
 build, and a new build removes those of other versions of the source.
 When there is no compiler, or the build fails, it returns None and
-the Python engine runs.  :func:`attach` copies a :class:`SearchState` and
-its ``random.Random`` into the kernel; :meth:`Kernel.detach` copies them
-back.
+the Python engine runs.  :func:`attach` hands the kernel a formula's
+arrays, which it reads in place, and a copy of a ``random.Random``; the
+kernel builds the initial state itself.  :meth:`Kernel.state` copies the
+search state out into a :class:`SearchState` and the generator, for the
+Python engine to carry on from.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ import os
 import random
 import zlib
 from array import array
-from itertools import accumulate, chain
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
-from .engine import IndexedSet, SearchState
-from .formula import INFEASIBLE
+from .formula import INFEASIBLE, Formula
 
 if TYPE_CHECKING:
+    from .engine import SearchState
     from .solver import SolverConfig
+    from .weighting import WeightingParams
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
@@ -52,6 +54,10 @@ _INT32_MAX = 2**31 - 1
 _INT64_MAX = 2**63 - 1
 #: Weights, scores and costs stay below this bound in the kernel.
 WEIGHT_BOUND = 2**62
+
+
+# fk_init results other than FK_OK (the enum in _kernel.c)
+_NOMEM = -1
 
 
 class _State(ctypes.Structure):
@@ -77,6 +83,9 @@ class _State(ctypes.Structure):
             "dyn_weight", "assign", "best_assign", "sat_count", "tv",
             "score", "fh_items", "fs_items", "gv_items", "work",
         )
+    ] + [
+        (name, ctypes.c_int64)
+        for name in ("hard_init", "soft_init_from_weight")
     ]
 
 
@@ -159,117 +168,139 @@ def load() -> Optional[ctypes.CDLL]:
     return _lib
 
 
-def _buffer(typecode: str, values, size: int) -> array:
-    """``values`` in an array of ``size`` items plus one spare zero."""
-    buf = array(typecode, values)
-    buf.frombytes(bytes(buf.itemsize * (size + 1 - len(buf))))
-    return buf
+def _read(address: Optional[int], typecode: str, count: int) -> array:
+    """A copy of ``count`` items of kernel memory."""
+    items = array(typecode)
+    if count:
+        items.frombytes(ctypes.string_at(address, count * items.itemsize))
+    return items
 
 
 class Kernel:
-    """A search state and its generator, held by the compiled kernel.
+    """A search run held by the compiled kernel.
 
-    While attached, the kernel's copy is the live one: ``run`` keeps only
-    ``state.best_cost`` current, and ``detach`` copies everything else back
-    into the :class:`SearchState` and the ``random.Random``.
+    It offers what :func:`fps_maxsat.solver.solve` reads of a
+    :class:`SearchState`: ``best_cost``, ``flips`` and
+    ``best_assignment()``.  The generator handed to :func:`attach` is
+    left as it was until :meth:`state` copies the kernel's back into it.
     """
 
-    def __init__(self, lib, state: SearchState, rng: random.Random,
-                 st: _State, bufs: dict, rng_state: tuple) -> None:
+    def __init__(self, lib, formula: Formula, weighting: WeightingParams,
+                 rng: random.Random, st: _State, mt: array,
+                 rng_state: tuple) -> None:
         self._lib = lib
-        self._state = state
+        self._formula = formula  # owns the arrays st reads
+        self._weighting = weighting
         self._rng = rng
         self._st = st
-        self._bufs = bufs  # owns the memory st points into
+        self._mt = mt  # the generator words st advances
         self._rng_state = rng_state
+
+    @property
+    def best_cost(self):
+        st = self._st
+        return st.best_cost if st.has_best else INFEASIBLE
+
+    @property
+    def flips(self) -> int:
+        return self._st.flips
+
+    def best_assignment(self) -> Optional[List[bool]]:
+        """Copy of the best feasible assignment seen, or None."""
+        st = self._st
+        if not st.has_best:
+            return None
+        return list(map(bool, _read(st.best_assign, "b", st.n + 1)[1:]))
 
     def run(self, max_flips: Optional[int], remaining_s: float) -> int:
         """Search until a budget, an improvement, or the end of a slice.
 
         Returns one of BUDGET, IMPROVED, SLICE, DONE (nothing to do) and
         HANDBACK (the next step could overflow; the Python engine must take
-        over after ``detach``).
+        over from ``detach()``).
         """
         limit = -1 if max_flips is None else min(max_flips, _INT64_MAX)
-        st = self._st
-        status = self._lib.fk_run(ctypes.byref(st), limit, remaining_s, SLICE_S)
-        self._state.best_cost = st.best_cost if st.has_best else INFEASIBLE
-        return status
+        return self._lib.fk_run(ctypes.byref(self._st), limit, remaining_s,
+                                SLICE_S)
 
-    def detach(self) -> None:
-        """Copy the kernel's state back into the SearchState and the
-        generator, and free the kernel's memory; the Kernel is unusable
-        after."""
-        st, b, state = self._st, self._bufs, self._state
-        n1 = state.num_vars + 1
-        m = len(state.formula.clauses)
-        state.assign[:] = map(bool, b["assign"][:n1])
-        state.score[:] = b["score"][:n1].tolist()
-        state.dyn_weight[:] = b["dyn_weight"][:m].tolist()
-        state.sat_count[:] = b["sat_count"][:m].tolist()
-        state.tv[:] = b["tv"][:m].tolist()
-        state.falsified_hard = IndexedSet(b["fh_items"][: st.fh_len].tolist())
-        state.falsified_soft = IndexedSet(b["fs_items"][: st.fs_len].tolist())
-        state.good_vars = IndexedSet(b["gv_items"][: st.gv_len].tolist())
+    def state(self) -> SearchState:
+        """The kernel's search state as a SearchState, and its generator
+        state copied into the ``random.Random``; the kernel runs on."""
+        from .engine import IndexedSet, SearchState
+
+        st = self._st
+        n1, m = st.n + 1, st.m
+        state = SearchState(
+            self._formula, self._weighting,
+            assignment=list(map(bool, _read(st.assign, "b", n1)[1:])),
+        )
+        state.dyn_weight[:] = _read(st.dyn_weight, "q", m).tolist()
+        state.score[:] = _read(st.score, "q", n1).tolist()
+        state.sat_count[:] = _read(st.sat_count, "i", m).tolist()
+        state.tv[:] = _read(st.tv, "i", m).tolist()
+        state.falsified_hard = IndexedSet(_read(st.fh_items, "i", st.fh_len))
+        state.falsified_soft = IndexedSet(_read(st.fs_items, "i", st.fs_len))
+        state.good_vars = IndexedSet(_read(st.gv_items, "i", st.gv_len))
         state.soft_falsified_weight = st.soft_falsified_weight
         state.flips = st.flips
-        if st.has_best:
-            state.best_cost = st.best_cost
-            state.best_assign = list(map(bool, b["best_assign"][:n1]))
-        version, _, gauss_next = self._rng_state
-        self._rng.setstate(
-            (version, tuple(b["mt"][:624]) + (st.mt_index,), gauss_next)
+        state.best_cost = self.best_cost
+        state.best_assign = (
+            None if not st.has_best
+            else list(map(bool, _read(st.best_assign, "b", n1)))
         )
-        self._lib.fk_free(ctypes.byref(st))
+        version, gauss_next = self._rng_state
+        self._rng.setstate(
+            (version, tuple(self._mt) + (st.mt_index,), gauss_next)
+        )
+        return state
+
+    def free(self) -> None:
+        """Release the kernel's memory; the Kernel is unusable after."""
+        self._lib.fk_free(ctypes.byref(self._st))
+
+    def detach(self) -> SearchState:
+        """:meth:`state`, then :meth:`free`."""
+        state = self.state()
+        self.free()
+        return state
 
 
 def attach(
-    state: SearchState, config: SolverConfig, rng: random.Random
+    formula: Formula,
+    weighting: WeightingParams,
+    config: SolverConfig,
+    rng: random.Random,
 ) -> Optional[Kernel]:
-    """Hand ``state`` and ``rng`` to the kernel, or None to stay in Python.
+    """A kernel run of ``formula`` from the state ``SearchState(formula,
+    weighting, rng)`` would start in, or None to stay in Python.
 
     None when the kernel cannot be built, or when the instance is outside
     what int32 indices and int64 arithmetic can hold exactly: more than
     2**31 - 1 variables, clauses or literals, a total soft weight of
     2**62 or more, or weights so large relative to the occurrence counts
-    that a score could overflow.
+    that a score could overflow.  Raises MemoryError when the kernel
+    cannot allocate the state.  ``rng`` is only read.
     """
     from .solver import MODES
 
     lib = load()
     if lib is None:
         return None
-    formula = state.formula
-    wp = state.weighting
-    lits = formula.clauses
-    n, m = state.num_vars, len(lits)
-    if sum(formula.weights) + formula.soft_offset >= WEIGHT_BOUND:
+    wp = weighting
+    lits, lit_start = formula.lits, formula.lit_start
+    n, m = formula.num_vars, formula.num_clauses
+    if not all(isinstance(a, array) and a.itemsize == 4
+               for a in (lits, lit_start)):
         return None
-    if max(n, m) > _INT32_MAX or max(wp.h_inc, wp.s_inc) >= WEIGHT_BOUND:
+    if sum(formula.soft_weight) + formula.soft_offset >= WEIGHT_BOUND:
+        return None
+    if (max(n, m) > _INT32_MAX
+            or max(wp.h_inc, wp.s_inc, wp.hard_init) >= WEIGHT_BOUND):
         return None
     if max(config.sc_num, config.sv_num) > _INT64_MAX:
         return None
-    rng_state = rng.getstate()
-    try:
-        lit_start = _buffer("i", accumulate(map(len, lits), initial=0), m)
-        bufs = {
-            "mt": _buffer("I", rng_state[1][:624], 624),
-            "lit_start": lit_start,
-            "lits": _buffer("i", chain.from_iterable(lits), lit_start[m]),
-            "soft_weight": _buffer("q", state.soft_weight, m),
-            "init_weight": _buffer("q", state.init_weight, m),
-            "dyn_weight": _buffer("q", state.dyn_weight, m),
-            "assign": _buffer("b", state.assign, n),
-            "best_assign": _buffer("b", state.best_assign or (), n),
-            "sat_count": _buffer("i", state.sat_count, m),
-            "tv": _buffer("i", state.tv, m),
-            "score": _buffer("q", state.score, n),
-            "fh_items": _buffer("i", state.falsified_hard.items, m),
-            "fs_items": _buffer("i", state.falsified_soft.items, m),
-            "gv_items": _buffer("i", state.good_vars.items, n),
-        }
-    except OverflowError:
-        return None
+    version, words, gauss_next = rng.getstate()
+    mt = array("I", words[:624])
     st = _State(
         n=n,
         m=m,
@@ -279,21 +310,21 @@ def attach(
         h_inc=wp.h_inc,
         s_inc=wp.s_inc,
         soft_cap=min(wp.soft_cap, _INT64_MAX),
+        hard_init=wp.hard_init,
+        soft_init_from_weight=wp.soft_init_from_weight,
         sp=wp.sp,
         offset=formula.soft_offset,
         never_feasible=formula.has_empty_hard,
-        soft_falsified_weight=state.soft_falsified_weight,
-        flips=state.flips,
-        best_cost=0 if state.best_assign is None else state.best_cost,
-        has_best=state.best_assign is not None,
-        fh_len=len(state.falsified_hard),
-        fs_len=len(state.falsified_soft),
-        gv_len=len(state.good_vars),
-        mt_index=rng_state[1][624],
+        mt_index=words[624],
+        mt=mt.buffer_info()[0],
+        lit_start=lit_start.buffer_info()[0],
+        lits=lits.buffer_info()[0],
+        soft_weight=formula.soft_weight.buffer_info()[0],
     )
-    for name, buf in bufs.items():
-        setattr(st, name, buf.buffer_info()[0])
-    if lib.fk_init(ctypes.byref(st)) != 0:
+    status = lib.fk_init(ctypes.byref(st))
+    if status != 0:
         lib.fk_free(ctypes.byref(st))
+        if status == _NOMEM:
+            raise MemoryError("the kernel cannot allocate the search state")
         return None
-    return Kernel(lib, state, rng, st, bufs, rng_state)
+    return Kernel(lib, formula, wp, rng, st, mt, (version, gauss_next))

@@ -13,7 +13,6 @@ output ends; 2 on malformed instance files.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import signal
 import sys
@@ -174,6 +173,8 @@ def _print_solution(args: argparse.Namespace, result) -> None:
     else:
         print("s UNKNOWN")
     if args.json:
+        import json
+
         print(
             json.dumps(
                 {

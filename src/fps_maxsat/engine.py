@@ -22,66 +22,10 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .formula import INFEASIBLE, Formula
-
-
-@dataclass(frozen=True)
-class WeightingParams:
-    """Constants of the dynamic clause weighting scheme.
-
-    ``hard_init`` is the initial dynamic weight of hard clauses and
-    ``soft_init_from_weight`` selects whether soft clauses start at their
-    original weight (weighted scheme) or at 1 (unweighted scheme).
-    Increments are applied to falsified clauses at local optima; a soft
-    clause's weight is only incremented while below ``soft_cap``.  With
-    probability ``sp`` a weight update smooths instead: every satisfied
-    clause above its initial weight loses 1.
-    """
-
-    h_inc: int = 1
-    s_inc: int = 1
-    sp: float = 0.01
-    soft_cap: int = 100
-    hard_init: int = 1
-    soft_init_from_weight: bool = False
-
-    def __post_init__(self) -> None:
-        if self.h_inc < 1 or self.s_inc < 1:
-            raise ValueError("weight increments must be >= 1")
-        if not 0.0 <= self.sp <= 1.0:
-            raise ValueError(f"smoothing probability out of range: {self.sp}")
-        if self.soft_cap < 1 or self.hard_init < 1:
-            raise ValueError("soft_cap and hard_init must be >= 1")
-
-    @classmethod
-    def defaults_for(cls, formula: Formula) -> "WeightingParams":
-        """Scheme constants keyed to the instance family.
-
-        Unweighted: all weights start at 1, both increments 1, cap 100.
-        Weighted: soft clauses start at their original weight with cap
-        10x the largest original weight; hard clauses start at the ceiling
-        of the mean original soft weight, which is also the hard increment.
-        """
-        if not formula.is_weighted:
-            return cls()
-        softs = [w for w in formula.weights if w]
-        if softs:
-            hard_init = max(1, math.ceil(sum(softs) / len(softs)))
-            cap = 10 * max(softs)
-        else:
-            hard_init = 1
-            cap = 100
-        return cls(
-            h_inc=hard_init,
-            s_inc=1,
-            sp=0.01,
-            soft_cap=cap,
-            hard_init=hard_init,
-            soft_init_from_weight=True,
-        )
+from .weighting import WeightingParams
 
 
 class IndexedSet:
@@ -181,9 +125,10 @@ class SearchState:
         n = formula.num_vars
         self.num_vars = n
 
-        # The formula's clause and weight tuples are shared, not copied:
-        # soft_weight[c] is 0 for a hard clause.
-        lits = formula.clauses
+        # The formula's weight array is shared, not copied: soft_weight[c]
+        # is 0 for a hard clause.
+        lits = [formula.lits[a:b] for a, b in
+                zip(formula.lit_start, formula.lit_start[1:])]
         clause_vars = [tuple(map(abs, clause)) for clause in lits]
         # One literal per variable per clause, as parse_wcnf and
         # Formula.build leave it: the true-literal counts and the XOR of
@@ -191,8 +136,9 @@ class SearchState:
         if sum(map(len, map(set, clause_vars))) != sum(map(len, clause_vars)):
             c = next(c for c, vs in enumerate(clause_vars)
                      if len(set(vs)) < len(vs))
-            raise ValueError(f"clause {c} names a variable twice: {lits[c]}")
-        soft_weight = formula.weights
+            raise ValueError(
+                f"clause {c} names a variable twice: {tuple(lits[c])}")
+        soft_weight = formula.soft_weight
         hard_init = weighting.hard_init
         if weighting.soft_init_from_weight:
             dyn_weight = [w or hard_init for w in soft_weight]

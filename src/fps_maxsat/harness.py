@@ -14,7 +14,7 @@ is broken toward the mode that reached its best solution sooner.
 from __future__ import annotations
 
 import csv
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
@@ -325,7 +325,7 @@ def bench(
     modes = list(dict.fromkeys(modes))
     seeds = list(dict.fromkeys(seeds))
     cells = [
-        (path, replace(base, mode=mode, seed=seed))
+        (path, base._replace(mode=mode, seed=seed))
         for path in instances
         for mode in modes
         for seed in seeds
@@ -370,7 +370,7 @@ def sweep(
     ]
     seeds = list(dict.fromkeys(seeds))
     cells = [
-        (path, replace(base, sc_num=sc, sv_num=sv, seed=seed))
+        (path, base._replace(sc_num=sc, sv_num=sv, seed=seed))
         for sc, sv in grid
         for path in instances
         for seed in seeds

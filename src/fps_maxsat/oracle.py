@@ -50,6 +50,7 @@ def exact_solve(
     best_cost: Optional[int] = None
     best_index = 0
     offset = formula.soft_offset
+    lits, lit_start = formula.lits, formula.lit_start
 
     for start in range(0, total, _BLOCK):
         stop = min(start + _BLOCK, total)
@@ -61,9 +62,9 @@ def exact_solve(
         }
         feasible = np.ones(len(indices), dtype=bool)
         cost = np.full(len(indices), offset, dtype=np.uint64)
-        for clause, weight in zip(formula.clauses, formula.weights):
+        for weight, a, b in zip(formula.soft_weight, lit_start, lit_start[1:]):
             falsified = None
-            for lit in clause:
+            for lit in lits[a:b]:
                 col = value[abs(lit)]
                 miss = ~col if lit > 0 else col
                 falsified = miss if falsified is None else (falsified & miss)

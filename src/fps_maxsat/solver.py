@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import (
     TYPE_CHECKING,
@@ -47,11 +46,14 @@ from typing import (
 )
 
 from . import _kernel
-from .engine import SearchState
+from ._record import Record
 from .formula import INFEASIBLE, Formula, evaluate_cost
+from .weighting import WeightingParams
 
 if TYPE_CHECKING:
     import threading
+
+    from .engine import SearchState
 
 
 #: Named solver configurations (see the module docstring).
@@ -63,33 +65,42 @@ class RunStatus(Enum):
     NO_FEASIBLE_FOUND = "no-feasible-found"
 
 
-@dataclass
-class SolverConfig:
+class SolverConfig(Record):
     """Knobs for one solver run.  Defaults follow the tuned configuration.
 
     ``mode`` names the configuration, one of :data:`MODES`.
     """
 
-    mode: str = "fps"
-    sc_num: int = 10
-    sv_num: int = 50
-    time_limit: float = 300.0
-    max_flips: Optional[int] = None
-    seed: int = 1
+    __slots__ = ("mode", "sc_num", "sv_num", "time_limit", "max_flips",
+                 "seed")
 
-    def __post_init__(self) -> None:
-        if self.mode not in MODES:
+    def __init__(
+        self,
+        mode: str = "fps",
+        sc_num: int = 10,
+        sv_num: int = 50,
+        time_limit: float = 300.0,
+        max_flips: Optional[int] = None,
+        seed: int = 1,
+    ) -> None:
+        if mode not in MODES:
             raise ValueError(
-                f"unknown mode {self.mode!r}; known: {', '.join(sorted(MODES))}"
+                f"unknown mode {mode!r}; known: {', '.join(sorted(MODES))}"
             )
-        if self.sc_num < 1:
-            raise ValueError(f"sc_num must be >= 1, got {self.sc_num}")
-        if self.sv_num < 1:
-            raise ValueError(f"sv_num must be >= 1, got {self.sv_num}")
-        if not self.time_limit > 0:
-            raise ValueError(f"time_limit must be positive, got {self.time_limit}")
-        if self.max_flips is not None and self.max_flips < 0:
-            raise ValueError(f"max_flips must be >= 0, got {self.max_flips}")
+        if sc_num < 1:
+            raise ValueError(f"sc_num must be >= 1, got {sc_num}")
+        if sv_num < 1:
+            raise ValueError(f"sv_num must be >= 1, got {sv_num}")
+        if not time_limit > 0:
+            raise ValueError(f"time_limit must be positive, got {time_limit}")
+        if max_flips is not None and max_flips < 0:
+            raise ValueError(f"max_flips must be >= 0, got {max_flips}")
+        self.mode = mode
+        self.sc_num = sc_num
+        self.sv_num = sv_num
+        self.time_limit = time_limit
+        self.max_flips = max_flips
+        self.seed = seed
 
 
 def config_for_mode(mode: str, **overrides) -> SolverConfig:
@@ -101,8 +112,7 @@ def config_for_mode(mode: str, **overrides) -> SolverConfig:
     return SolverConfig(mode=mode, **kwargs)
 
 
-@dataclass
-class RunResult:
+class RunResult(Record):
     """Outcome of one solver run.
 
     ``best_cost`` is an int when feasible, :data:`INFEASIBLE` otherwise.
@@ -114,14 +124,30 @@ class RunResult:
     every step and ``"python"`` when the Python step functions ran some.
     """
 
-    status: RunStatus
-    best_cost: Union[int, float]
-    best_assignment: Optional[List[bool]]
-    flips: int
-    elapsed_s: float
-    time_to_best_s: float
-    improvement_trace: List[Tuple[float, int]] = field(default_factory=list)
-    engine: str = "python"
+    __slots__ = ("status", "best_cost", "best_assignment", "flips",
+                 "elapsed_s", "time_to_best_s", "improvement_trace", "engine")
+
+    def __init__(
+        self,
+        status: RunStatus,
+        best_cost: Union[int, float],
+        best_assignment: Optional[List[bool]],
+        flips: int,
+        elapsed_s: float,
+        time_to_best_s: float,
+        improvement_trace: Optional[List[Tuple[float, int]]] = None,
+        engine: str = "python",
+    ) -> None:
+        self.status = status
+        self.best_cost = best_cost
+        self.best_assignment = best_assignment
+        self.flips = flips
+        self.elapsed_s = elapsed_s
+        self.time_to_best_s = time_to_best_s
+        self.improvement_trace = (
+            [] if improvement_trace is None else improvement_trace
+        )
+        self.engine = engine
 
 
 def bms_pick(
@@ -305,18 +331,27 @@ def solve(
     if config is None:
         config = SolverConfig()
     rng = random.Random(config.seed)
-    state = SearchState(formula, rng=rng)
+    weighting = WeightingParams.defaults_for(formula)
+    # The kernel builds the initial state itself; the Python engine (and
+    # its module) is loaded only when it runs, from the start or at a
+    # hand-back.
+    kernel = _kernel.attach(formula, weighting, config, rng)
+    if kernel is None:
+        from .engine import SearchState
+
+        run = state = SearchState(formula, weighting, rng)
+    else:
+        run = kernel
     step = single_flip_step if config.mode == "single" else fps_step
 
     trace: List[Tuple[float, int]] = []
     time_to_best = 0.0
-    best_seen = state.best_cost
+    best_seen = run.best_cost
     if best_seen != INFEASIBLE:
         trace.append((0.0, int(best_seen)))
         if on_improvement is not None:
             on_improvement(int(best_seen), 0.0)
 
-    kernel = _kernel.attach(state, config, rng)
     t0 = time.perf_counter()
     max_flips = config.max_flips
     time_limit = config.time_limit
@@ -330,7 +365,7 @@ def solve(
                     max_flips, time_limit - (time.perf_counter() - t0)
                 )
                 if status == _kernel.HANDBACK:
-                    kernel.detach()
+                    run = state = kernel.detach()
                     kernel = None
                     engine = "python"
                     continue
@@ -343,34 +378,36 @@ def solve(
                     break
                 if not step(state, config, rng):
                     break
-            cost = state.best_cost
+            cost = run.best_cost
             if cost < best_seen:
                 best_seen = cost
                 time_to_best = time.perf_counter() - t0
                 trace.append((time_to_best, int(cost)))
                 if on_improvement is not None:
                     on_improvement(int(cost), time_to_best)
+        elapsed = time.perf_counter() - t0
+        best_cost = run.best_cost
+        best_assignment = run.best_assignment()
+        flips = run.flips
     finally:
         if kernel is not None:
-            kernel.detach()
+            kernel.free()
 
-    elapsed = time.perf_counter() - t0
-    best_assignment = state.best_assignment()
     if best_assignment is not None:
         actual = evaluate_cost(formula, best_assignment)
-        if actual != state.best_cost:
+        if actual != best_cost:
             raise RuntimeError(
                 f"best solution failed re-verification: tracked "
-                f"{state.best_cost}, actual {actual}"
+                f"{best_cost}, actual {actual}"
             )
         status = RunStatus.FEASIBLE
     else:
         status = RunStatus.NO_FEASIBLE_FOUND
     return RunResult(
         status=status,
-        best_cost=state.best_cost if best_assignment is not None else INFEASIBLE,
+        best_cost=best_cost if best_assignment is not None else INFEASIBLE,
         best_assignment=best_assignment,
-        flips=state.flips,
+        flips=flips,
         elapsed_s=elapsed,
         time_to_best_s=time_to_best,
         improvement_trace=trace,

@@ -20,6 +20,7 @@ from fps_maxsat.engine import IndexedSet, SearchState
 from fps_maxsat.formula import (
     INFEASIBLE,
     Formula,
+    ParseError,
     evaluate_cost,
 )
 
@@ -313,3 +314,101 @@ def random_raw_clauses(
         weight = 0 if is_hard else rng.randint(1, 50)
         raw.append((is_hard, weight, lits))
     return raw, n
+
+
+# -- reference WCNF reader (for parser fuzzing) -----------------------------
+
+
+def reference_parse(text: str) -> Formula:
+    """The WCNF rules of :func:`fps_maxsat.formula.parse_wcnf` read line by
+    line, the way they are specified: each line is blank, a comment (its
+    first character after blanks is ``c``), the header or one clause, and
+    its checks run in order, so the first malformed line raises.  The
+    library parser must accept, normalise and report exactly as this does.
+    """
+    header = None
+    raw = []
+    saw_clause = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line[0] == "c":
+            continue
+        fields = line.split()
+        if fields[0] == "p":
+            if header is not None:
+                raise ParseError(f"line {lineno}: duplicate header")
+            if saw_clause:
+                raise ParseError(f"line {lineno}: header after clause data")
+            if len(fields) != 5 or fields[1] != "wcnf":
+                raise ParseError(f"line {lineno}: malformed header {line!r}")
+            try:
+                nv, nc, top = map(int, fields[2:])
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: non-integer field in header {line!r}"
+                ) from None
+            if nv < 0 or nc < 0 or top < 1:
+                raise ParseError(f"line {lineno}: header values out of range")
+            header = (nv, top)
+            continue
+        saw_clause = True
+        if header is None and fields[0] == "h":
+            is_hard, weight = True, 0
+        else:
+            try:
+                weight = int(fields[0])
+            except ValueError:
+                expected = "clause weight" if header else "'h' or clause weight"
+                raise ParseError(
+                    f"line {lineno}: expected {expected}, got {fields[0]!r}"
+                ) from None
+            if header is not None and weight > header[1]:
+                raise ParseError(
+                    f"line {lineno}: weight {weight} exceeds top {header[1]}"
+                )
+            if weight <= 0:
+                raise ParseError(
+                    f"line {lineno}: soft clause weight must be positive"
+                )
+            is_hard = header is not None and weight == header[1]
+        body = fields[1:]
+        if not body:
+            raise ParseError(f"line {lineno}: missing clause terminator 0")
+        lits = []
+        for tok in body[:-1]:
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise ParseError(
+                    f"line {lineno}: non-integer literal {tok!r}"
+                ) from None
+            if lit == 0:
+                raise ParseError(f"line {lineno}: literal 0 inside clause body")
+            if header is not None and abs(lit) > header[0]:
+                raise ParseError(
+                    f"line {lineno}: variable {abs(lit)} exceeds "
+                    f"declared {header[0]}"
+                )
+            lits.append(lit)
+        if body[-1] != "0":
+            raise ParseError(f"line {lineno}: missing clause terminator 0")
+        raw.append((is_hard, weight, lits))
+
+    if sum(w for is_hard, w, _ in raw if not is_hard) > 2**64 - 1:
+        raise ParseError("total soft weight exceeds 64 bits")
+    num_vars = header[0] if header else max(
+        (abs(lit) for _, _, lits in raw for lit in lits), default=0)
+    clauses, weights, offset, empty_hard = [], [], 0, False
+    for is_hard, weight, lits in raw:
+        kept = dict.fromkeys(lits)
+        if any(-lit in kept for lit in kept):
+            continue
+        if not kept:
+            if is_hard:
+                empty_hard = True
+            else:
+                offset += weight
+            continue
+        clauses.append(tuple(kept))
+        weights.append(0 if is_hard else weight)
+    return Formula(num_vars, clauses, weights, offset, empty_hard)

@@ -1,6 +1,7 @@
 """Incremental search state: flips, probes, weighting, exact bookkeeping."""
 
 import math
+import pickle
 import random
 
 import pytest
@@ -88,6 +89,16 @@ class TestWeightingParams:
         with pytest.raises(ValueError):
             WeightingParams(soft_cap=0)
 
+    def test_frozen_value_record(self):
+        wp = WeightingParams(sp=0.5, soft_cap=3)
+        assert wp == WeightingParams(soft_cap=3, sp=0.5) != WeightingParams()
+        assert hash(wp) == hash(pickle.loads(pickle.dumps(wp)))
+        assert pickle.loads(pickle.dumps(wp)) == wp
+        assert eval(repr(wp), {"WeightingParams": WeightingParams}) == wp
+        with pytest.raises(AttributeError):
+            wp.sp = 0.1
+        assert wp.sp == 0.5
+
 
 class TestInit:
     def test_zero_clause_formula(self):
@@ -139,8 +150,8 @@ class TestInit:
         f = parse_wcnf("h 1 2 0\n3 -1 0\n5 2 0\n")
         st = SearchState(f, rng=random.Random(0))
         assert st.dyn_weight == [4, 3, 5]
-        # the formula's clause and weight tuples are shared, not copied
-        assert st.soft_weight is f.weights
+        # the formula's weight array is shared, not copied
+        assert st.soft_weight is f.soft_weight
 
     def test_unweighted_initial_weights(self):
         f = parse_wcnf("h 1 2 0\n1 -1 0\n1 2 0\n")

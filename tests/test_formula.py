@@ -1,11 +1,13 @@
 """Representation, parsing, serialisation, and the from-scratch cost oracle."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fps_maxsat.cli import main
 from fps_maxsat.formula import (
     INFEASIBLE,
     Formula,
@@ -19,6 +21,7 @@ from fps_maxsat.formula import (
 from helpers import (
     brute_force_optimum,
     random_raw_clauses,
+    reference_parse,
     render_new_dialect,
     render_old_dialect,
 )
@@ -67,6 +70,21 @@ class TestParsing:
         f = parse_wcnf("")
         assert f.num_vars == 0 and f.num_clauses == 0
         assert evaluate_cost(f, []) == 0
+
+    def test_crlf_line_endings_and_tabs(self):
+        text = "c made on\tanother system\r\np wcnf 2 3 10\r\n" \
+               "10\t1 2\t0\r\n3 -1 0 \r\n\t5 2 0\r\n"
+        assert parse_wcnf(text) == example_formula()
+        assert parse_wcnf(text.encode()) == example_formula()
+
+    def test_comment_between_header_and_clauses(self):
+        text = "p wcnf 2 3 10\nc the clauses follow\n" + OLD_EXAMPLE[14:]
+        assert parse_wcnf(text) == example_formula()
+
+    def test_comments_anywhere(self):
+        text = "c first\nh 1 2 0\n  c indented\n3 -1 0\n\nc last"
+        f = parse_wcnf(text)
+        assert f.clauses == ((1, 2), (-1,)) and f.weights == (0, 3)
 
 
 class TestParseErrors:
@@ -121,6 +139,80 @@ class TestParseErrors:
         f = parse_wcnf(f"{2**64 - 1} 1 0\n")
         assert f.weights == (2**64 - 1,)
 
+    def test_non_utf8_bytes(self, tmp_path, capsys):
+        data = b"p wcnf 2 1 10\n3 1 \xff 0\n"
+        with pytest.raises(ParseError, match="not valid UTF-8"):
+            parse_wcnf(data)
+        path = tmp_path / "latin1.wcnf"
+        path.write_bytes(data)
+        assert main(["solve", str(path), "--max-flips", "10"]) == 2
+        assert capsys.readouterr().err.startswith("parse error: input is not")
+
+    def test_clause_continued_on_next_line(self):
+        # every clause ends on its own line: a line break is not a space
+        with pytest.raises(ParseError,
+                           match="^line 3: missing clause terminator 0$"):
+            parse_wcnf("p wcnf 3 2 10\n10 1 0\n3 1 2\n-3 0\n")
+
+    def test_two_clauses_on_one_line(self):
+        with pytest.raises(ParseError,
+                           match="^line 2: literal 0 inside clause body$"):
+            parse_wcnf("h 1 0\n3 1 0 -2 0\n")
+
+    def test_first_bad_line_reported(self):
+        # the earliest malformed line wins, whatever its kind of fault
+        with pytest.raises(ParseError, match="^line 2: non-integer literal"):
+            parse_wcnf("h 1 0\nh 1 x 0\np wcnf 1 1 1\n3 1\n")
+        with pytest.raises(ParseError, match="^line 2: header after clause"):
+            parse_wcnf("h 1 0\np wcnf 1 1 2\nh 1 x 0\n")
+
+    def test_last_token_checked_as_terminator_only(self):
+        # the final token is never read as a literal
+        with pytest.raises(ParseError,
+                           match="^line 1: missing clause terminator 0$"):
+            parse_wcnf("h 1 x\n")
+        with pytest.raises(ParseError,
+                           match="^line 1: missing clause terminator 0$"):
+            parse_wcnf("h 1 00\n")
+
+
+class TestFormulaValue:
+    def test_layout(self):
+        f = example_formula()
+        assert (f.lits.typecode, f.lit_start.typecode,
+                f.soft_weight.typecode) == ("i", "i", "Q")
+        assert list(f.lits) == [1, 2, -1, 2]
+        assert list(f.lit_start) == [0, 2, 3, 4]
+        assert list(f.soft_weight) == [0, 3, 5]
+
+    def test_wide_variables(self):
+        # beyond 31 bits the literals take 64; beyond 64 a tuple
+        for v, typecode in ((2**31, "q"), (2**70, None)):
+            f = parse_wcnf(f"p wcnf {v} 1 10\n3 -1 {v} 0\n")
+            assert f.clauses == ((-1, v),)
+            assert getattr(f.lits, "typecode", None) == typecode
+
+    def test_value_semantics(self):
+        f = example_formula()
+        same = Formula(num_vars=2, clauses=[(1, 2), (-1,), (2,)],
+                       weights=[0, 3, 5])
+        assert same == f and hash(same) == hash(f)
+        assert f != Formula(num_vars=3, clauses=f.clauses, weights=f.weights)
+        assert pickle.loads(pickle.dumps(f)) == f
+        assert eval(repr(f), {"Formula": Formula}) == f
+        with pytest.raises(AttributeError):
+            f.num_vars = 5
+        with pytest.raises(ValueError):
+            Formula(num_vars=1, clauses=[(1,)], weights=[1, 2])
+        with pytest.raises(ValueError):
+            Formula(num_vars=1, clauses=[(1,)], weights=[-1])
+
+    @pytest.mark.parametrize("lit", [0, 3, -3, 4])
+    def test_literal_out_of_range(self, lit):
+        # evaluate_cost would read another literal's value for |lit| > 2
+        with pytest.raises(ValueError, match=r"in 1 \.\. 2$"):
+            Formula(num_vars=2, clauses=[(1, lit)], weights=[1])
+
 
 class TestNormalisation:
     def test_duplicate_literals_dropped(self):
@@ -131,6 +223,14 @@ class TestNormalisation:
         f = parse_wcnf("h 1 -1 0\n2 1 -2 2 0\nh 2 0\n")
         assert f.num_clauses == 1
         assert f.clauses == ((2,),) and f.weights == (0,)
+
+    def test_long_clauses(self):
+        # past eight literals the check for a repeated variable takes
+        # another route
+        body = " ".join(map(str, range(1, 12)))
+        f = parse_wcnf(f"h {body} 3 0\n2 {body} -5 0\n1 {body} 0\n")
+        assert f.clauses == (tuple(range(1, 12)),) * 2
+        assert f.weights == (0, 1)
 
     def test_empty_hard_clause_flags_infeasible(self):
         f = parse_wcnf("h 0\nh 1 0\n")
@@ -261,3 +361,74 @@ class TestAgainstBruteForce:
         best, witness = brute_force_optimum(example_formula())
         assert best == 0 and witness == [False, True]
 
+
+
+# Pieces of WCNF documents, valid and not: parse_wcnf must accept, normalise
+# and report (message and line number) exactly as the line-by-line reading
+# of the rules in helpers.reference_parse does.
+WEIGHTS = ["h", "1", "3", "9", "10", "0", "-2", "+4", "007", "x", "1_0",
+           str(2**63), str(2**64 - 1), "٣"]
+LITERALS = ["1", "-1", "2", "-2", "3", "-3", "4", "0", "00", "-0", "x", "h",
+            "c", "p", "+2", "1_0", "٣", str(2**40)]
+SPACES = [" ", " ", " ", "  ", "\t", "\x1f", "\xa0"]
+LINE_ENDS = ["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+             "\x85", " "]
+HEADERS = ["p wcnf 4 6 10", "p wcnf 3 2 9", "p wcnf 4 6", "p cnf 4 6 10",
+           "p wcnf x 6 10", "p wcnf -1 6 10", "p wcnf 4 6 0"]
+
+
+@st.composite
+def wcnf_documents(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["clause"] * 6 + ["comment", "blank", "header", "broken"]))
+        sep = draw(st.sampled_from(SPACES))
+        if kind == "clause":
+            tokens = [draw(st.sampled_from(WEIGHTS[:5]))]
+            tokens += draw(st.lists(
+                st.sampled_from(LITERALS[:7]), max_size=4))
+            tokens.append("0")
+        elif kind == "broken":
+            tokens = [draw(st.sampled_from(WEIGHTS))]
+            tokens += draw(st.lists(st.sampled_from(LITERALS), max_size=5))
+        elif kind == "comment":
+            tokens = ["c" + draw(st.sampled_from(["", "omment", " p 1 0"]))]
+        elif kind == "header":
+            tokens = [draw(st.sampled_from(HEADERS))]
+        else:
+            tokens = []
+        indent = draw(st.sampled_from(["", "", " ", "\t"]))
+        trail = draw(st.sampled_from(["", "", " ", "\t"]))
+        lines.append(indent + sep.join(tokens) + trail)
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    last = draw(st.booleans())
+    return "".join(line + end for line, end in zip(lines, ends))[
+        : None if last or not lines else -len(ends[-1])]
+
+
+def outcome(parse, text):
+    try:
+        f = parse(text)
+    except ParseError as exc:
+        return "rejected", str(exc)
+    return "accepted", (f.num_vars, f.clauses, f.weights, f.soft_offset,
+                        f.has_empty_hard)
+
+
+class TestAgainstReferenceReader:
+    @settings(max_examples=600, deadline=None)
+    @given(wcnf_documents())
+    def test_same_outcome(self, text):
+        assert outcome(parse_wcnf, text) == outcome(reference_parse, text)
+        if text.isascii():
+            assert outcome(parse_wcnf, text.encode()) == \
+                outcome(reference_parse, text)
+
+    def test_fuzzed_valid_documents_round_trip(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            raw, n = random_raw_clauses(rng)
+            for text in (render_new_dialect(raw), render_old_dialect(raw, n)):
+                assert outcome(parse_wcnf, text) == \
+                    outcome(reference_parse, text)

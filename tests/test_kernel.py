@@ -1,11 +1,13 @@
 """The compiled kernel against the Python engine, its build, and fallbacks.
 
-The Python engine is the reference.  The differential tests run both
-engines from the same state and seed to several flip checkpoints and
-require every maintained quantity, the order of every ``IndexedSet``, the
-best solution and the generator state to be equal.
+The Python engine is the reference.  The differential tests start both
+engines from the same formula, weighting and seed (the kernel builds its
+own initial state), run them to several flip checkpoints and require every
+maintained quantity, the order of every ``IndexedSet``, the best solution
+and the generator state to be equal.
 """
 
+from array import array
 import math
 import os
 import random
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from fps_maxsat import _kernel
 from fps_maxsat.engine import SearchState, WeightingParams
-from fps_maxsat.formula import Formula
+from fps_maxsat.formula import Formula, _layout
 from fps_maxsat.solver import (
     MODES,
     SolverConfig,
@@ -31,7 +33,7 @@ from fps_maxsat.solver import (
 from helpers import (
     assert_state_consistent,
     conflicted_weighted_instance,
-    rescan,
+    planted_formula,
 )
 
 requires_kernel = pytest.mark.skipif(
@@ -74,38 +76,46 @@ def python_run_to(state, config, rng, flips, improvements):
             improvements.append(state.best_cost)
 
 
-def kernel_run_to(state, config, rng, flips, improvements):
-    kernel = _kernel.attach(state, config, rng)
+def kernel_run_to(kernel, flips, improvements):
+    while True:
+        status = kernel.run(flips, math.inf)
+        assert status != _kernel.HANDBACK
+        if status == _kernel.IMPROVED:
+            improvements.append(kernel.best_cost)
+        if status in (_kernel.BUDGET, _kernel.DONE):
+            return
+
+
+def attached(formula, config, weighting=None):
+    """A Python engine state and a kernel run of the same start."""
+    if weighting is None:
+        weighting = WeightingParams.defaults_for(formula)
+    py_rng, c_rng = random.Random(config.seed), random.Random(config.seed)
+    kernel = _kernel.attach(formula, weighting, config, c_rng)
     assert kernel is not None
-    try:
-        while True:
-            status = kernel.run(flips, math.inf)
-            assert status != _kernel.HANDBACK
-            if status == _kernel.IMPROVED:
-                improvements.append(state.best_cost)
-            if status in (_kernel.BUDGET, _kernel.DONE):
-                return
-    finally:
-        kernel.detach()
+    return (SearchState(formula, weighting, rng=py_rng), py_rng), \
+        (kernel, c_rng)
 
 
 def assert_engines_agree(formula, config, checkpoints=CHECKPOINTS,
                          weighting=None):
-    """Run both engines to each checkpoint; the kernel re-attaches at each.
+    """Run both engines to each checkpoint and compare their states.
 
     ``weighting`` defaults to the formula's ``WeightingParams.defaults_for``.
+    The kernel runs on after each comparison.
     """
-    states = []
-    for _ in range(2):
-        rng = random.Random(config.seed)
-        states.append((SearchState(formula, weighting, rng=rng), rng, []))
-    (py, py_rng, py_imp), (c, c_rng, c_imp) = states
-    for flips in checkpoints:
-        python_run_to(py, config, py_rng, flips, py_imp)
-        kernel_run_to(c, config, c_rng, flips, c_imp)
-        assert full_snapshot(c, c_rng) == full_snapshot(py, py_rng), flips
-        assert c_imp == py_imp, flips
-        assert_state_consistent(c)
+    (py, py_rng), (kernel, c_rng) = attached(formula, config, weighting)
+    py_imp, c_imp = [], []
+    try:
+        for flips in checkpoints:
+            python_run_to(py, config, py_rng, flips, py_imp)
+            kernel_run_to(kernel, flips, c_imp)
+            c = kernel.state()
+            assert full_snapshot(c, c_rng) == full_snapshot(py, py_rng), flips
+            assert c_imp == py_imp, flips
+            assert_state_consistent(c)
+    finally:
+        kernel.free()
 
 
 @requires_kernel
@@ -162,18 +172,7 @@ class TestDifferential:
     )
     @given(data=st.data())
     def test_weighted_family(self, data):
-        n = data.draw(st.integers(1, 12), label="n")
-        clause = st.lists(
-            st.integers(1, n), min_size=1, max_size=min(n, 5), unique=True
-        ).flatmap(
-            lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in vs])
-        )
-        hard = data.draw(st.lists(clause, max_size=10), label="hard")
-        soft = data.draw(
-            st.lists(st.tuples(st.integers(1, 60), clause), max_size=20),
-            label="soft",
-        )
-        formula = Formula.build(num_vars=n, hard=hard, soft=soft)
+        formula = weighted_family(data)
         config = SolverConfig(
             mode=data.draw(st.sampled_from(MODES), label="mode"),
             seed=data.draw(st.integers(0, 2**32), label="seed"),
@@ -247,9 +246,26 @@ class TestFallback:
             soft=[(big, [-1]), (big, [-2]), (3, [3]), (2, [-3])],
         )
         config = SolverConfig(seed=4, max_flips=500)
-        rng = random.Random(4)
-        assert _kernel.attach(SearchState(formula, rng=rng), config, rng) \
-            is None
+        weighting = WeightingParams.defaults_for(formula)
+        assert _kernel.attach(formula, weighting, config,
+                              random.Random(4)) is None
+        res = solve(formula, config)
+        assert res.engine == "python"
+        assert_same_run(res, pure_python(formula, config, monkeypatch))
+
+    @requires_kernel
+    def test_heavy_weights_declined_by_the_kernel(self, monkeypatch):
+        # The total soft weight fits, but a weight of 2**60 on a variable
+        # in five clauses could overflow a score: fk_init declines.
+        formula = Formula.build(
+            num_vars=2,
+            hard=[[1, 2], [-1, 2], [1, -2], [-1, -2]],
+            soft=[(2**60, [1]), (1, [2])],
+        )
+        config = SolverConfig(seed=4, max_flips=200)
+        weighting = WeightingParams.defaults_for(formula)
+        assert _kernel.attach(formula, weighting, config,
+                              random.Random(4)) is None
         res = solve(formula, config)
         assert res.engine == "python"
         assert_same_run(res, pure_python(formula, config, monkeypatch))
@@ -283,40 +299,166 @@ class TestFallback:
     def test_repeated_variable_declined(self):
         # tv[c] needs one literal per variable per clause; SearchState
         # refuses such a clause, and so does fk_init.
-        formula = Formula.build(num_vars=3, hard=[[1, 2]], soft=[(1, [-1, 3])])
-        rng = random.Random(1)
-        state = SearchState(formula, rng=rng)
-        kernel = _kernel.attach(state, SolverConfig(), rng)
-        assert kernel is not None
-        kernel.detach()
-        for clause in ((-1, 3, -1), (-1, 3, 1), (3, -1, 3)):
-            state.formula = Formula(
+        config, weighting = SolverConfig(), WeightingParams()
+        for clause, accepted in (((-1, 3), True), ((-1, 3, -1), False),
+                                 ((-1, 3, 1), False), ((3, -1, 3), False)):
+            formula = Formula(
                 num_vars=3, clauses=((1, 2), clause), weights=(0, 1)
             )
-            # tv as fk_init computes it, so only the repeat is at fault
-            state.tv[:] = rescan(state)["tv"]
-            assert _kernel.attach(state, SolverConfig(), rng) is None
-
-    @requires_kernel
-    def test_wrong_true_variables_declined(self):
-        # fk_init checks every tv[c] against the assignment: a state whose
-        # record of true variables is off stays in Python.
-        formula = lookahead_instance()
-        rng = random.Random(1)
-        state = SearchState(formula, rng=rng)
-        kernel = _kernel.attach(state, SolverConfig(), rng)
-        assert kernel is not None
-        kernel.detach()
-        c = next(c for c, k in enumerate(state.sat_count) if k == 1)
-        state.tv[c] ^= 1
-        assert _kernel.attach(state, SolverConfig(), rng) is None
+            kernel = _kernel.attach(formula, weighting, config,
+                                    random.Random(1))
+            assert (kernel is not None) == accepted, clause
+            if kernel is not None:
+                kernel.free()
 
     def test_int32_sizes_declined(self, monkeypatch):
         formula = lookahead_instance()
-        rng = random.Random(1)
-        state = SearchState(formula, rng=rng)
         monkeypatch.setattr(_kernel, "_INT32_MAX", formula.num_vars - 1)
-        assert _kernel.attach(state, SolverConfig(), rng) is None
+        assert _kernel.attach(
+            formula, WeightingParams.defaults_for(formula), SolverConfig(),
+            random.Random(1),
+        ) is None
+
+    @requires_kernel
+    def test_wide_arrays_declined(self):
+        # the kernel reads int32 literals and offsets; a variable past
+        # 2**31 - 1 widens lits, more literals than that widen lit_start
+        formula = lookahead_instance()
+        weighting = WeightingParams.defaults_for(formula)
+        for name in ("lits", "lit_start"):
+            wide = _layout(*(
+                array("q", value) if field == name else value
+                for field, value in zip(Formula.__slots__, formula._values())
+            ))
+            assert wide == formula
+            assert _kernel.attach(wide, weighting, SolverConfig(),
+                                  random.Random(1)) is None, name
+
+    @requires_kernel
+    def test_allocation_failure_raises_memory_error(self):
+        # 2e8 variables: the kernel's arrays cannot fit in the 256 MB of
+        # address space the child allows itself.  Its allocation fails
+        # and is reported, where the Python engine would need far more.
+        script = """
+import random, resource
+from fps_maxsat import _kernel
+from fps_maxsat.engine import WeightingParams
+from fps_maxsat.formula import Formula
+from fps_maxsat.solver import SolverConfig
+assert _kernel.load() is not None
+formula = Formula.build(num_vars=200_000_000, soft=[(3, [1])])
+limit = 256 * 2**20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    _kernel.attach(formula, WeightingParams(), SolverConfig(),
+                   random.Random(1))
+except MemoryError as exc:
+    print("MemoryError", exc)
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=child_env(), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("MemoryError the kernel"), proc.stdout
+
+
+def child_env():
+    """The environment of a child that imports this package and these
+    tests."""
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.dirname(os.path.dirname(_kernel.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+
+
+@requires_kernel
+class TestInitialState:
+    """The state fk_init builds equals SearchState.__init__'s, field by
+    field and in set order, and both leave the generator alike."""
+
+    @staticmethod
+    def assert_same_start(formula, seed, weighting=None):
+        config = SolverConfig(seed=seed)
+        (py, py_rng), (kernel, c_rng) = attached(formula, config, weighting)
+        c = kernel.detach()
+        assert full_snapshot(c, c_rng) == full_snapshot(py, py_rng)
+        assert c.init_weight == py.init_weight
+        assert c.best_cost == py.best_cost
+        assert_state_consistent(c)
+
+    @pytest.mark.parametrize("seed", [1, 2, 7])
+    def test_lookahead_instance(self, seed):
+        self.assert_same_start(lookahead_instance(), seed)
+
+    def test_unweighted(self):
+        rng = random.Random(3)
+        formula = planted_formula(rng, 60, 120, 200, weighted=False)
+        assert not formula.is_weighted
+        self.assert_same_start(formula, 5)
+
+    def test_soft_offset(self):
+        formula = Formula.build(
+            num_vars=3, hard=[[1, -2]], soft=[(4, []), (2, [2, 3]), (5, [-3])]
+        )
+        assert formula.soft_offset == 4
+        for seed in range(6):
+            self.assert_same_start(formula, seed)
+
+    def test_empty_hard_clause(self):
+        formula = Formula.build(num_vars=2, hard=[[], [1, 2]], soft=[(3, [-1])])
+        assert formula.has_empty_hard
+        for seed in range(4):
+            self.assert_same_start(formula, seed)
+
+    def test_every_clause_satisfied_at_start(self):
+        # Random(seed)'s first draws decide the start; clauses built to
+        # hold under it leave no falsified clause and no good variable.
+        seed, n = 8, 40
+        rng = random.Random(seed)
+        start = [rng.random() < 0.5 for _ in range(n)]
+        lit = [v if start[v - 1] else -v for v in range(1, n + 1)]
+        formula = Formula.build(
+            num_vars=n,
+            hard=[[lit[i], -lit[i + 1]] for i in range(n - 1)],
+            soft=[(i % 5 + 1, [lit[i]]) for i in range(n)],
+        )
+        self.assert_same_start(formula, seed)
+        (py, _), (kernel, _) = attached(formula, SolverConfig(seed=seed))
+        kernel.free()
+        assert py.best_cost == 0 and not py.good_vars.items
+
+    @pytest.mark.parametrize("weighting", [
+        WeightingParams(sp=0.5, soft_cap=2),
+        WeightingParams(h_inc=3, hard_init=5, soft_init_from_weight=True),
+    ], ids=["capped", "weighted-init"])
+    def test_given_weighting(self, weighting):
+        self.assert_same_start(lookahead_instance(), 4, weighting)
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(data=st.data())
+    def test_weighted_family(self, data):
+        formula = weighted_family(data)
+        self.assert_same_start(
+            formula, data.draw(st.integers(0, 2**32), label="seed")
+        )
+
+
+def weighted_family(data):
+    """A small weighted formula drawn by hypothesis."""
+    n = data.draw(st.integers(1, 12), label="n")
+    clause = st.lists(
+        st.integers(1, n), min_size=1, max_size=min(n, 5), unique=True
+    ).flatmap(lambda vs: st.tuples(*[st.sampled_from((v, -v)) for v in vs]))
+    hard = data.draw(st.lists(clause, max_size=10), label="hard")
+    soft = data.draw(
+        st.lists(st.tuples(st.integers(1, 60), clause), max_size=20),
+        label="soft",
+    )
+    return Formula.build(num_vars=n, hard=hard, soft=soft)
 
 
 class TestBuild:
@@ -373,14 +515,11 @@ from test_kernel import MODES, SolverConfig, assert_engines_agree, \\
 for mode in MODES:
     assert_engines_agree(lookahead_instance(), SolverConfig(mode=mode, seed=7))
 """
-        tests_dir = os.path.dirname(os.path.abspath(__file__))
-        src_dir = os.path.dirname(os.path.dirname(_kernel.__file__))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
         proc = subprocess.run(
             [sys.executable, "-c", script],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
             timeout=600,
         )
         if proc.returncode == 77:

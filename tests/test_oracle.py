@@ -101,30 +101,52 @@ class TestEnumerationLimits:
 
 
 class TestLazyNumpy:
-    def test_cli_import_does_not_load_numpy(self):
-        # numpy is imported inside exact_solve, so every command but
-        # `oracle` starts without it, and the process pool only when a
-        # batch runs with several jobs; the bench harness (and csv) load
-        # only for `bench` and `sweep`.  Only a fresh interpreter shows
-        # that.  The child imports the same package copy as this process.
+    # numpy is imported inside exact_solve, so every command but `oracle`
+    # starts without it, and the process pool only when a batch runs with
+    # several jobs; the bench harness (and csv) load only for `bench` and
+    # `sweep`, and json only for `solve --json`.  Nothing on the way to
+    # `solve` uses dataclasses (nor, through it, inspect).  Only a fresh
+    # interpreter shows that; modules its start-up loaded are left out.
+    HEAVY = (
+        "numpy",
+        "concurrent.futures.process",
+        "multiprocessing",
+        "fps_maxsat.harness",
+        "csv",
+        "dataclasses",
+        "inspect",
+        "json",
+    )
+
+    def loaded_by(self, code):
+        """The HEAVY modules a child loads running ``code``.  The child
+        imports the same package copy as this process."""
         root = os.path.dirname(os.path.dirname(fps_maxsat.__file__))
         path = os.pathsep.join(
             filter(None, [root, os.environ.get("PYTHONPATH")])
         )
-        heavy = (
-            "numpy",
-            "concurrent.futures.process",
-            "multiprocessing",
-            "fps_maxsat.harness",
-            "csv",
-        )
-        code = (
-            "import sys, fps_maxsat.cli; "
-            f"print([m for m in {heavy!r} if m in sys.modules])"
+        script = (
+            "import sys; before = set(sys.modules)\n"
+            f"{code}\n"
+            f"print([m for m in {self.HEAVY!r} "
+            "if m in sys.modules and m not in before])"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
+            [sys.executable, "-c", script], capture_output=True, text=True,
             env=dict(os.environ, PYTHONPATH=path), timeout=60,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.splitlines()[-1]
+
+    def test_cli_import_does_not_load_numpy(self):
+        assert self.loaded_by("import fps_maxsat.cli") == "[]"
+
+    def test_solve_run_loads_none(self, tmp_path):
+        path = tmp_path / "worked.wcnf"
+        path.write_text("1 -1 2 0\n1 1 -2 0\n1 1 2 0\n")
+        run = ("from fps_maxsat.cli import main; "
+               f"assert main(['solve', {str(path)!r}, '--max-flips', '0']) == 0")
+        assert self.loaded_by(run) == "[]"
+        # the package's own names load the oracle module on first use
+        assert self.loaded_by("import fps_maxsat") == "[]"
+        assert fps_maxsat.exact_solve is exact_solve

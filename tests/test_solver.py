@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import pickle
 import random
 from contextlib import redirect_stdout
 
@@ -21,6 +22,7 @@ from fps_maxsat.formula import (
 )
 from fps_maxsat.solver import (
     MODES,
+    RunResult,
     RunStatus,
     SolverConfig,
     bms_pick,
@@ -84,6 +86,24 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(time_limit=float("nan"))
         assert SolverConfig(time_limit=float("inf")).time_limit > 0
+
+    def test_value_record(self):
+        cfg = SolverConfig(mode="single", seed=7, max_flips=10)
+        assert cfg == SolverConfig("single", 10, 50, 300.0, 10, 7)
+        assert cfg != SolverConfig(mode="single", seed=8, max_flips=10)
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
+        assert eval(repr(cfg), {"SolverConfig": SolverConfig}) == cfg
+        assert cfg._replace(seed=8).seed == 8 and cfg.seed == 7
+        with pytest.raises(ValueError, match="unknown mode"):
+            cfg._replace(mode="nope")
+        with pytest.raises(TypeError):
+            hash(cfg)
+
+    def test_run_result_record(self):
+        res = solve(worked_instance(), SolverConfig(max_flips=50))
+        assert pickle.loads(pickle.dumps(res)) == res
+        assert RunResult(RunStatus.FEASIBLE, 0, [True], 1, 0.5, 0.0) \
+            .improvement_trace == []
 
 
 class TestBmsPick:
@@ -459,8 +479,8 @@ class TestSolve:
         modes = []
         attach = _kernel.attach
 
-        def recording_attach(state, config, rng):
-            kernel = attach(state, config, rng)
+        def recording_attach(*args):
+            kernel = attach(*args)
             modes.append(kernel._st.mode)
             return kernel
 
