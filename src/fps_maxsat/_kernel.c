@@ -1,8 +1,8 @@
 /*
  * Compiled step loop of fps_maxsat: a port of the Python engine
  * (engine.py: SearchState.flip, update_weights, probed_positive_scores,
- * IndexedSet) and of the step functions in solver.py (bms_pick,
- * _random_walk_escape, single_flip_step, fps_step).
+ * IndexedSet) and of the step function in solver.py (fps_step, with
+ * bms_pick and _random_walk_escape).
  *
  * The Python code is the reference.  Every list, dict and set operation
  * is mirrored in the same order, and the random draws go through a copy
@@ -57,12 +57,11 @@ struct fk_work;
 
 /* Shared with _kernel.py; field order and types must match its _State.
    The caller sets the sizes, the parameters, mt_index, mt and the formula
-   arrays; fk_init builds the rest.  The two fields only fk_init reads come
-   last, so that the step loop's fields keep low offsets. */
+   arrays; fk_init builds the rest. */
 struct fk_state {
     int64_t n, m;
     int64_t mode, sc_num, sv_num;
-    int64_t h_inc, s_inc, soft_cap;
+    int64_t hard_weight, soft_cap;
     double sp;
     int64_t offset, never_feasible;
     int64_t soft_falsified_weight, flips, best_cost, has_best;
@@ -83,7 +82,6 @@ struct fk_state {
     int32_t *fs_items;          /* falsified soft clauses, capacity m */
     int32_t *gv_items;          /* positive-score variables, capacity n */
     struct fk_work *work;
-    int64_t hard_init, soft_init_from_weight;
 };
 
 struct fk_work {
@@ -403,14 +401,14 @@ static void update_weights(struct fk_state *s)
        reference's filtered pass.  Smoothing lowers only satisfied
        clauses, so it never changes fs_open. */
     for (i = 0; i < s->fh_len; i++)
-        bump(s, s->fh_items[i], s->h_inc);
+        bump(s, s->fh_items[i], s->hard_weight);
     for (i = 0; i < s->fs_len; i += 64) {
         uint64_t word = w->fs_open[i >> 6];
         while (word) {
             int64_t p = i + lowest_bit(word);
             int32_t c = s->fs_items[p];
             word &= word - 1;
-            bump(s, c, s->s_inc);
+            bump(s, c, 1);
             if (s->dyn_weight[c] >= s->soft_cap)
                 bit_put(w->fs_open, p, 0);
         }
@@ -560,18 +558,6 @@ static int random_walk_escape(struct fk_state *s)
     return 1;
 }
 
-static int single_flip_step(struct fk_state *s)
-{
-    if (s->gv_len) {
-        flip(s, rng_choose(s, s->gv_items, s->gv_len));
-        return 1;
-    }
-    if (!s->fh_len && !s->fs_len)
-        return 0;
-    update_weights(s);
-    return random_walk_escape(s);
-}
-
 static int fps_step(struct fk_state *s)
 {
     struct fk_work *w = s->work;
@@ -588,6 +574,8 @@ static int fps_step(struct fk_state *s)
     if (!s->fh_len && !s->fs_len)
         return 0;
     update_weights(s);
+    if (s->mode == MODE_SINGLE)
+        return random_walk_escape(s);
 
     pool = s->fh_items;
     pool_len = s->fh_len;
@@ -787,27 +775,25 @@ int fk_init(struct fk_state *s)
 {
     struct fk_work *w;
     int64_t n = s->n, m = s->m, c, j, x, max_occ;
-    int64_t inc = s->h_inc > s->s_inc ? s->h_inc : s->s_inc;
     int rc;
     if ((rc = allocate(s)) != FK_OK
         || (rc = build_occurrences(s, &max_occ)) != FK_OK)
         return rc;
     w = s->work;
 
-    /* Initial weights: hard clauses hard_init, soft ones their weight or
-       1.  |score[y]| <= occurrences(y) * max dyn_weight, so keeping
+    /* Initial weights: hard clauses hard_weight, soft ones their weight.
+       |score[y]| <= occurrences(y) * max dyn_weight, so keeping
        max dyn_weight below WEIGHT_BOUND / max_occ keeps every score, and
-       the sum of two, inside int64. */
+       the sum of two, inside int64.  The largest bump is hard_weight. */
     w->wmax = 1;
     for (c = 0; c < m; c++) {
-        int64_t wt = !s->soft_weight[c] ? s->hard_init
-                     : s->soft_init_from_weight ? s->soft_weight[c] : 1;
+        int64_t wt = s->soft_weight[c] ? s->soft_weight[c] : s->hard_weight;
         s->init_weight[c] = s->dyn_weight[c] = wt;
         if (wt > w->wmax)
             w->wmax = wt;
     }
     w->weight_limit = WEIGHT_BOUND / max_occ;
-    if (w->wmax >= w->weight_limit || inc >= w->weight_limit)
+    if (w->wmax >= w->weight_limit || s->hard_weight >= w->weight_limit)
         return FK_TOOHEAVY;
 
     for (x = 1; x <= n; x++)
@@ -864,7 +850,7 @@ int fk_run(struct fk_state *s, int64_t max_flips, double remaining_s,
            double slice_s)
 {
     struct fk_work *w = s->work;
-    int64_t inc = s->h_inc > s->s_inc ? s->h_inc : s->s_inc;
+    int64_t inc = s->hard_weight; /* the largest bump */
     double start = now_s();
     for (;;) {
         int64_t has_best = s->has_best, best_cost = s->best_cost;
@@ -879,7 +865,7 @@ int fk_run(struct fk_state *s, int64_t max_flips, double remaining_s,
             return FK_SLICE;
         if (w->wmax >= w->weight_limit - inc)
             return FK_HANDBACK;
-        moved = s->mode == MODE_SINGLE ? single_flip_step(s) : fps_step(s);
+        moved = fps_step(s);
         if (!moved)
             return FK_DONE;
         if (s->has_best != has_best || s->best_cost != best_cost)

@@ -2,11 +2,13 @@
 
 ``_kernel.c`` is a port of the search loop: ``SearchState.flip``,
 ``update_weights`` and ``probed_positive_scores``, the ``IndexedSet``
-operations, and the step functions of :mod:`fps_maxsat.solver`, together
-with CPython's MT19937 generator.  It makes the same random draws in the
-same order, so a run takes the same trajectory, and prints the same bytes,
-with either engine.  The Python engine is the reference: a change to an
-update rule must be made in both, and the differential tests compare them.
+operations, and the step function of :mod:`fps_maxsat.solver`,
+``fps_step``, together with CPython's MT19937 generator.  It makes the
+same random draws in the same order, so a run takes the same trajectory,
+and prints the same bytes, with either engine.  The Python engine is the
+reference: a change to an update rule must be made in both, and the
+differential tests compare them.  The weighting constants the kernel
+takes are the three of :class:`~fps_maxsat.weighting.WeightingParams`.
 
 :func:`load` compiles the source on first use with the C compiler Python
 was built with, into the package's ``__pycache__`` under a name keyed by
@@ -66,8 +68,7 @@ class _State(ctypes.Structure):
     _fields_ = [
         (name, ctypes.c_int64)
         for name in (
-            "n", "m", "mode", "sc_num", "sv_num", "h_inc", "s_inc",
-            "soft_cap",
+            "n", "m", "mode", "sc_num", "sv_num", "hard_weight", "soft_cap",
         )
     ] + [("sp", ctypes.c_double)] + [
         (name, ctypes.c_int64)
@@ -83,9 +84,6 @@ class _State(ctypes.Structure):
             "dyn_weight", "assign", "best_assign", "sat_count", "tv",
             "score", "fh_items", "fs_items", "gv_items", "work",
         )
-    ] + [
-        (name, ctypes.c_int64)
-        for name in ("hard_init", "soft_init_from_weight")
     ]
 
 
@@ -294,8 +292,7 @@ def attach(
         return None
     if sum(formula.soft_weight) + formula.soft_offset >= WEIGHT_BOUND:
         return None
-    if (max(n, m) > _INT32_MAX
-            or max(wp.h_inc, wp.s_inc, wp.hard_init) >= WEIGHT_BOUND):
+    if max(n, m) > _INT32_MAX or wp.hard_weight >= WEIGHT_BOUND:
         return None
     if max(config.sc_num, config.sv_num) > _INT64_MAX:
         return None
@@ -307,11 +304,8 @@ def attach(
         mode=MODES.index(config.mode),
         sc_num=config.sc_num,
         sv_num=config.sv_num,
-        h_inc=wp.h_inc,
-        s_inc=wp.s_inc,
+        hard_weight=wp.hard_weight,
         soft_cap=min(wp.soft_cap, _INT64_MAX),
-        hard_init=wp.hard_init,
-        soft_init_from_weight=wp.soft_init_from_weight,
         sp=wp.sp,
         offset=formula.soft_offset,
         never_feasible=formula.has_empty_hard,

@@ -139,11 +139,8 @@ class SearchState:
             raise ValueError(
                 f"clause {c} names a variable twice: {tuple(lits[c])}")
         soft_weight = formula.soft_weight
-        hard_init = weighting.hard_init
-        if weighting.soft_init_from_weight:
-            dyn_weight = [w or hard_init for w in soft_weight]
-        else:
-            dyn_weight = [1 if w else hard_init for w in soft_weight]
+        hard_weight = weighting.hard_weight
+        dyn_weight = [w or hard_weight for w in soft_weight]
         pos_occ: List[List[int]] = [[] for _ in range(n + 1)]
         neg_occ: List[List[int]] = [[] for _ in range(n + 1)]
         for c, clause in enumerate(lits):
@@ -403,9 +400,8 @@ class SearchState:
 
         With probability ``sp`` smooths (every satisfied clause above its
         initial weight loses 1); otherwise bumps every falsified hard
-        clause by ``h_inc`` and every falsified soft clause below
-        ``soft_cap`` by ``s_inc``.  Scores and ``good_vars`` are kept
-        consistent.
+        clause by ``hard_weight`` and every falsified soft clause below
+        ``soft_cap`` by 1.  Scores and ``good_vars`` are kept consistent.
         """
         wp = self.weighting
         score = self.score
@@ -429,8 +425,8 @@ class SearchState:
         clause_vars = self.clause_vars
         # Hard clauses have no cap.
         for falsified, inc, cap in (
-            (self.falsified_hard, wp.h_inc, math.inf),
-            (self.falsified_soft, wp.s_inc, wp.soft_cap),
+            (self.falsified_hard, wp.hard_weight, math.inf),
+            (self.falsified_soft, 1, wp.soft_cap),
         ):
             for c in falsified.items:
                 if dyn_weight[c] >= cap:

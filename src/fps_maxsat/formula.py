@@ -73,7 +73,8 @@ class Formula(FrozenRecord):
     ``Formula(num_vars, clauses, weights)`` stores the clauses as given,
     each literal naming a variable in 1 .. ``num_vars``; :meth:`build` and
     :func:`parse_wcnf` normalise them first.  ``clauses`` and ``weights``
-    are tuple views, built anew on every access.
+    are tuple views, built anew on every access.  ``_replace`` takes the
+    constructor's arguments.
     """
 
     __slots__ = (
@@ -124,12 +125,16 @@ class Formula(FrozenRecord):
     def __reduce__(self):
         return _layout, self._values()
 
-    def __repr__(self) -> str:
-        return (
-            f"Formula(num_vars={self.num_vars!r}, clauses={self.clauses!r}, "
-            f"weights={self.weights!r}, soft_offset={self.soft_offset!r}, "
-            f"has_empty_hard={self.has_empty_hard!r})"
-        )
+    def _asdict(self) -> dict:
+        """The constructor's arguments, which the repr shows and
+        ``_replace`` changes."""
+        return {
+            "num_vars": self.num_vars,
+            "clauses": self.clauses,
+            "weights": self.weights,
+            "soft_offset": self.soft_offset,
+            "has_empty_hard": self.has_empty_hard,
+        }
 
     @property
     def clauses(self) -> Tuple[Tuple[int, ...], ...]:

@@ -1,8 +1,8 @@
-"""Search loops: single-flip baseline and two-level look-ahead sampling.
+"""The search step: single-flip baseline and two-level look-ahead sampling.
 
-Both strategies share the same skeleton: while some variable has positive
-score, flip a random one; at a local optimum, update clause weights once and
-escape.  They differ in the escape.
+Both strategies share one step function, :func:`fps_step`: while some
+variable has positive score, flip a random one; at a local optimum, update
+clause weights once and escape.  They differ only in the escape.
 
 The single-flip baseline random-walks: pick a random falsified clause
 (hard first) and flip its best variable.
@@ -87,20 +87,27 @@ class SolverConfig(Record):
             raise ValueError(
                 f"unknown mode {mode!r}; known: {', '.join(sorted(MODES))}"
             )
-        if sc_num < 1:
-            raise ValueError(f"sc_num must be >= 1, got {sc_num}")
-        if sv_num < 1:
-            raise ValueError(f"sv_num must be >= 1, got {sv_num}")
+        _check_count("sc_num", sc_num, 1)
+        _check_count("sv_num", sv_num, 1)
         if not time_limit > 0:
             raise ValueError(f"time_limit must be positive, got {time_limit}")
-        if max_flips is not None and max_flips < 0:
-            raise ValueError(f"max_flips must be >= 0, got {max_flips}")
+        if max_flips is not None:
+            _check_count("max_flips", max_flips, 0)
         self.mode = mode
         self.sc_num = sc_num
         self.sv_num = sv_num
         self.time_limit = time_limit
         self.max_flips = max_flips
         self.seed = seed
+
+
+def _check_count(name: str, value, least: int) -> None:
+    # Both engines need an int: the kernel takes an int64, and a float
+    # would pass through the Python engine's arithmetic unnoticed.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def config_for_mode(mode: str, **overrides) -> SolverConfig:
@@ -121,7 +128,7 @@ class RunResult(Record):
     ``improvement_trace`` lists ``(elapsed_s, cost)`` for every improvement,
     including the initial feasible assignment at time 0.0; its costs are
     strictly decreasing.  ``engine`` is ``"c"`` when the compiled kernel ran
-    every step and ``"python"`` when the Python step functions ran some.
+    every step and ``"python"`` when the Python step function ran some.
     """
 
     __slots__ = ("status", "best_cost", "best_assignment", "flips",
@@ -221,24 +228,10 @@ def _random_walk_escape(state: SearchState, rng: random.Random) -> bool:
     return True
 
 
-def single_flip_step(
-    state: SearchState, config: SolverConfig, rng: random.Random
-) -> bool:
-    """One step of the baseline.  Returns False when every clause holds."""
-    gv = state.good_vars
-    if gv.items:
-        state.flip(gv.choose(rng))
-        return True
-    if not state.falsified_hard.items and not state.falsified_soft.items:
-        return False
-    state.update_weights(rng)
-    return _random_walk_escape(state, rng)
-
-
 def fps_step(
     state: SearchState, config: SolverConfig, rng: random.Random
 ) -> bool:
-    """One step of the look-ahead strategy.
+    """One step of the search, in any of the :data:`MODES`.
 
     Returns False when every clause holds (nothing to do).  Otherwise flips
     either one variable or a candidate/partner pair and returns True.
@@ -250,6 +243,8 @@ def fps_step(
     if not state.falsified_hard.items and not state.falsified_soft.items:
         return False
     state.update_weights(rng)
+    if config.mode == "single":
+        return _random_walk_escape(state, rng)
 
     score = state.score
     pool = state.falsified_hard
@@ -325,7 +320,7 @@ def solve(
     bookkeeping raises RuntimeError.
 
     The steps run in the compiled kernel when it can be built and the
-    instance fits its integer types, and in the Python step functions
+    instance fits its integer types, and in the Python step function
     otherwise; both take the same trajectory.
     """
     if config is None:
@@ -342,7 +337,6 @@ def solve(
         run = state = SearchState(formula, weighting, rng)
     else:
         run = kernel
-    step = single_flip_step if config.mode == "single" else fps_step
 
     trace: List[Tuple[float, int]] = []
     time_to_best = 0.0
@@ -376,7 +370,7 @@ def solve(
                     break
                 if time.perf_counter() - t0 >= time_limit:
                     break
-                if not step(state, config, rng):
+                if not fps_step(state, config, rng):
                     break
             cost = run.best_cost
             if cost < best_seen:

@@ -271,6 +271,12 @@ def conflicted_weighted_instance(
     return Formula.build(num_vars=n, hard=hard, soft=soft)
 
 
+def unit_weights(formula: Formula) -> Formula:
+    """``formula`` with every soft weight set to 1."""
+    return Formula(formula.num_vars, formula.clauses,
+                   [min(w, 1) for w in formula.weights])
+
+
 def worked_instance() -> Formula:
     """Three soft unit-weight clauses over two variables; optimum 0 at 11."""
     return Formula.build(

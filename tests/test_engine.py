@@ -68,22 +68,19 @@ class TestWeightingParams:
     def test_unweighted_defaults(self):
         f = parse_wcnf("h 1 2 0\n1 -1 0\n")
         wp = WeightingParams.defaults_for(f)
-        assert (wp.h_inc, wp.s_inc, wp.sp) == (1, 1, 0.01)
-        assert wp.soft_cap == 100
-        assert wp.hard_init == 1 and not wp.soft_init_from_weight
+        assert wp == WeightingParams(hard_weight=1, sp=0.01, soft_cap=100)
 
     def test_weighted_defaults(self):
         f = parse_wcnf("h 1 2 0\n3 -1 0\n5 2 0\n")
         wp = WeightingParams.defaults_for(f)
-        # hard weight starts at the mean soft weight, rounded up
-        assert wp.hard_init == math.ceil((3 + 5) / 2) == 4
-        assert wp.h_inc == 4 and wp.s_inc == 1
+        # hard weight (start and bump) is the mean soft weight, rounded up
+        assert wp.hard_weight == math.ceil((3 + 5) / 2) == 4
+        assert wp.sp == 0.01
         assert wp.soft_cap == 50  # 10x the largest original soft weight
-        assert wp.soft_init_from_weight
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WeightingParams(h_inc=0)
+            WeightingParams(hard_weight=0)
         with pytest.raises(ValueError):
             WeightingParams(sp=1.5)
         with pytest.raises(ValueError):
@@ -339,7 +336,8 @@ class TestUpdateWeights:
         wp = st.weighting
         assert st.dyn_weight == [4, 3, 5]
         st.update_weights(ScriptedRng([0.99]))  # above sp: bump path
-        assert st.dyn_weight == [4 + wp.h_inc, 3, 5 + wp.s_inc]
+        # the hard clause gains hard_weight, the soft clause 1
+        assert st.dyn_weight == [4 + wp.hard_weight, 3, 5 + 1]
         assert list(st.score) == rescan_scores(st)
         assert set(st.good_vars.items) == {
             v for v in (1, 2) if st.score[v] > 0
@@ -352,7 +350,7 @@ class TestUpdateWeights:
         st = SearchState(f, weighting=wp, assignment=[False])
         for _ in range(10):
             st.update_weights(ScriptedRng([0.99]))
-        assert st.dyn_weight == [1 + 10 * wp.h_inc]
+        assert st.dyn_weight == [1 + 10 * wp.hard_weight]
         assert st.score[1] == st.dyn_weight[0]
         assert list(st.good_vars) == [1]
 

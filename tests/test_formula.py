@@ -207,6 +207,14 @@ class TestFormulaValue:
         with pytest.raises(ValueError):
             Formula(num_vars=1, clauses=[(1,)], weights=[-1])
 
+    def test_replace_validates_anew(self):
+        f = Formula(2, [(1, 2)], [1])
+        wider = f._replace(num_vars=3)
+        assert wider == Formula(3, [(1, 2)], [1]) and f.num_vars == 2
+        assert f._replace(weights=[0]).weights == (0,)
+        with pytest.raises(ValueError, match=r"in 1 \.\. 1$"):
+            f._replace(num_vars=1)
+
     @pytest.mark.parametrize("lit", [0, 3, -3, 4])
     def test_literal_out_of_range(self, lit):
         # evaluate_cost would read another literal's value for |lit| > 2

@@ -27,7 +27,6 @@ from fps_maxsat.solver import (
     SolverConfig,
     bms_pick,
     fps_step,
-    single_flip_step,
     solve,
 )
 
@@ -36,6 +35,7 @@ from helpers import (
     conflicted_weighted_instance,
     planted_formula,
     random_formula,
+    unit_weights,
     worked_instance,
 )
 
@@ -86,6 +86,14 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(time_limit=float("nan"))
         assert SolverConfig(time_limit=float("inf")).time_limit > 0
+
+    @pytest.mark.parametrize("field", ["sc_num", "sv_num", "max_flips"])
+    @pytest.mark.parametrize("value", [1000.0, 2.5, "10", True])
+    def test_counts_must_be_integers(self, field, value):
+        # refused before either engine runs: the kernel takes an int64,
+        # and the Python engine would carry a float along
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SolverConfig(**{field: value})
 
     def test_value_record(self):
         cfg = SolverConfig(mode="single", seed=7, max_flips=10)
@@ -203,11 +211,14 @@ class TestBmsPick:
 
 
 class TestSingleFlipStep:
+    # fps_step in the single-flip baseline's mode
+    SINGLE = SolverConfig(mode="single")
+
     def test_flips_good_var_singleton(self):
         f = Formula.build(num_vars=1, soft=[(1, [1])])
         st = SearchState(f, assignment=[False])
         assert set(st.good_vars.items) == {1}
-        assert single_flip_step(st, SolverConfig(), random.Random(0))
+        assert fps_step(st, self.SINGLE, random.Random(0))
         assert st.current_assignment() == [True]
 
     def test_escape_updates_weights_then_walks(self):
@@ -217,7 +228,7 @@ class TestSingleFlipStep:
         st = RecordingState(f, assignment=[False])
         assert not st.good_vars.items
         before = list(st.dyn_weight)
-        assert single_flip_step(st, SolverConfig(), random.Random(3))
+        assert fps_step(st, self.SINGLE, random.Random(3))
         assert st.flip_log == [1]
         assert st.dyn_weight != before  # local optimum bumped a weight
 
@@ -228,13 +239,13 @@ class TestSingleFlipStep:
         st = RecordingState(f, assignment=[False, True])
         assert not st.good_vars.items
         assert st.falsified_hard.items and not st.falsified_soft.items
-        assert single_flip_step(st, SolverConfig(), random.Random(3))
+        assert fps_step(st, self.SINGLE, random.Random(3))
         assert st.flip_log == [1]
 
     def test_all_satisfied_returns_false(self):
         f = Formula.build(num_vars=1, hard=[[1]])
         st = SearchState(f, assignment=[True])
-        assert not single_flip_step(st, SolverConfig(), random.Random(0))
+        assert not fps_step(st, self.SINGLE, random.Random(0))
         assert st.flips == 0
 
 
@@ -338,7 +349,7 @@ class TestFpsStep:
             soft=[(1, [1, 2]), (2, [-1]), (x2_weight, [-2]), (2, [-2, 3]),
                   (1, [-3])],
         )
-        weighting = WeightingParams(sp=1.0, soft_init_from_weight=True)
+        weighting = WeightingParams(sp=1.0)
         st = RecordingState(f, weighting, assignment=[False] * 3)
         assert not st.good_vars.items
         assert (st.score[1], st.score[2]) == (-1, -1 - x2_weight)
@@ -459,16 +470,16 @@ class TestSolve:
             ]
 
     def test_mode_dispatch(self, monkeypatch):
-        # The Python engine looks the step functions up when solve is
-        # called, so wrappers installed on the module (as a tracing
-        # benchmark does) take effect.
+        # Every mode of the Python engine runs through solver.fps_step,
+        # looked up when solve is called, so a wrapper installed on the
+        # module (as a tracing benchmark does) takes effect.
         calls = self.record_steps(monkeypatch)
         monkeypatch.setattr(_kernel, "load", lambda: None)
         for mode in MODES:
             calls.clear()
             res = solve(worked_instance(), SolverConfig(mode=mode, max_flips=100))
             assert res.engine == "python"
-            assert calls == ["single" if mode == "single" else "fps"], mode
+            assert calls == [mode]
 
     def test_mode_dispatch_kernel(self, monkeypatch):
         # The kernel dispatches on the mode's position in MODES and calls
@@ -496,14 +507,11 @@ class TestSolve:
     def record_steps(monkeypatch):
         calls = []
 
-        def recorder(name):
-            def step(state, config, rng):
-                calls.append(name)
-                return False
-            return step
+        def step(state, config, rng):
+            calls.append(config.mode)
+            return False
 
-        monkeypatch.setattr(solver_mod, "fps_step", recorder("fps"))
-        monkeypatch.setattr(solver_mod, "single_flip_step", recorder("single"))
+        monkeypatch.setattr(solver_mod, "fps_step", step)
         return calls
 
     def test_trace_strictly_decreasing(self):
@@ -562,31 +570,73 @@ class TestOutputPin:
         ("fps-rw", 2): "968fb60fc74512db7edb8c51895423dd"
                        "6592cf891c0c100036c3d8eb3ed51254",
     }
+    # The same instance with every soft weight set to 1, which takes the
+    # unweighted weighting defaults, at 30,000 flips.  Seed 1 improves on
+    # its feasible start (431 to 380); seed 2 starts infeasible and its
+    # one `o` line is the first feasible model the search reaches.
+    PINNED_UNWEIGHTED = {
+        ("fps", 1): "18e528477dfff71accf3c447c74401bd"
+                    "ed0314714c12ccb00a6bedb9716224d1",
+        ("single", 1): "a3ba48ebce7ae6993631e5861cef9767"
+                       "63799c686b8a0cc8fd646c7b260721b9",
+        ("fps-rw", 1): "aebf012219eb39853ada51def6bf0b66"
+                       "b196477a7c418a2c65ad03ae8866bfdb",
+        ("fps", 2): "e261fc858f9e3781761c8859ad19f610"
+                    "a81a7a93095ac55cff3221bea6485285",
+        ("single", 2): "89c90db8434d6bc299b96cdab2dea39f"
+                       "009136fa07bbacda3fd9a7fe8f3cacaf",
+        ("fps-rw", 2): "a71ac9e9e018b40a89e07953010b7b5d"
+                       "c35c064910f800aa18fae264834b2099",
+    }
 
     def test_pins_every_mode(self):
-        assert set(self.PINNED) == {(m, s) for m in MODES for s in (1, 2)}
+        every = {(m, s) for m in MODES for s in (1, 2)}
+        assert set(self.PINNED) == set(self.PINNED_UNWEIGHTED) == every
 
     def test_solve_output_bytes_pinned(self, tmp_path):
         # whichever engine solve picks: the kernel where it can be built
-        self.check_digests(tmp_path)
+        self.check_weighted(tmp_path)
 
     def test_solve_output_bytes_pinned_python(self, tmp_path, monkeypatch):
         monkeypatch.setattr(_kernel, "load", lambda: None)
-        self.check_digests(tmp_path)
+        self.check_weighted(tmp_path)
 
-    def check_digests(self, tmp_path):
-        f = conflicted_weighted_instance(random.Random(1), 300, 700, 1400)
-        path = tmp_path / "lookahead.wcnf"
-        path.write_text(write_wcnf(f))
-        for (mode, seed), digest in self.PINNED.items():
+    def test_unweighted_output_bytes_pinned(self, tmp_path):
+        self.check_unweighted(tmp_path)
+
+    def test_unweighted_output_bytes_pinned_python(self, tmp_path,
+                                                   monkeypatch):
+        monkeypatch.setattr(_kernel, "load", lambda: None)
+        self.check_unweighted(tmp_path)
+
+    def check_weighted(self, tmp_path):
+        self.check_digests(tmp_path, self.lookahead(), self.PINNED, 20000,
+                           min_found={1: 2, 2: 2})
+
+    def check_unweighted(self, tmp_path):
+        self.check_digests(tmp_path, unit_weights(self.lookahead()),
+                           self.PINNED_UNWEIGHTED, 30000,
+                           min_found={1: 2, 2: 1})
+
+    @staticmethod
+    def lookahead():
+        return conflicted_weighted_instance(random.Random(1), 300, 700, 1400)
+
+    @staticmethod
+    def check_digests(tmp_path, formula, pinned, max_flips, min_found):
+        path = tmp_path / "instance.wcnf"
+        path.write_text(write_wcnf(formula))
+        for (mode, seed), digest in pinned.items():
             buf = io.StringIO()
             with redirect_stdout(buf):
                 code = main(["solve", str(path), "--mode", mode,
-                             "--seed", str(seed), "--max-flips", "20000"])
+                             "--seed", str(seed),
+                             "--max-flips", str(max_flips)])
             assert code == 0
             out = buf.getvalue()
-            # a run that never improves on its start would pin nothing
-            assert sum(line.startswith("o ") for line in out.splitlines()) \
-                >= 2, (mode, seed)
+            # a run that reaches no model of its own would pin nothing
+            # but its start
+            found = sum(line.startswith("o ") for line in out.splitlines())
+            assert found >= min_found[seed], (mode, seed)
             assert hashlib.sha256(out.encode()).hexdigest() == digest, \
                 (mode, seed)
