@@ -13,7 +13,11 @@ and quartiles over the runs and how many pairs the change won (ties count
 for neither side).  ``--stages`` adds start-up stage timings of the
 perfbench instances (``lookahead``, and ``large``, which no workload
 covers) and of the ``large`` recipe at ten times its size, measured
-through interfaces both checkouts share.  The JSON written to ``--out`` records the command of every number.
+through interfaces both checkouts share.  Every run also records the
+``nm -S --defined-only`` sizes of the functions in each checkout's kernel
+library, and prints the functions that appear, disappear or change size:
+a step-loop helper that gcc stops inlining shows up there.  The JSON
+written to ``--out`` records the command of every number.
 """
 
 from __future__ import annotations
@@ -191,6 +195,60 @@ def stages(args, workdir):
     }
 
 
+LIBRARY_CODE = """
+from fps_maxsat import _kernel
+lib = _kernel.load()
+print("" if lib is None else lib._name)
+"""
+
+
+def kernel_functions(checkout):
+    """``nm -S`` sizes of the functions in the checkout's kernel library,
+    built by the checkout's own ``_kernel.load()``; None when it cannot be
+    built or read."""
+    path = child_time(checkout, ["-c", LIBRARY_CODE])[2].decode().strip()
+    if not path:
+        return None
+    try:
+        out = subprocess.run(["nm", "-S", "--defined-only", path],
+                             capture_output=True, text=True,
+                             check=True).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    sizes = {}
+    for line in out.splitlines():
+        fields = line.split()
+        # address, size, type, name; t/T are functions in the text section
+        if len(fields) == 4 and fields[2] in ("t", "T"):
+            sizes[fields[3]] = int(fields[1], 16)
+    return sizes
+
+
+def kernel_functions_report(args):
+    """Both checkouts' kernel function sizes and what changed between."""
+    parent, change = (kernel_functions(args.parent),
+                      kernel_functions(args.change))
+    report = {"command": "nm -S --defined-only LIB, where LIB is the "
+                         "library the checkout's _kernel.load() builds",
+              "parent": parent, "change": change}
+    if parent is None or change is None:
+        print("kernel functions: a library could not be built or read",
+              file=sys.stderr)
+        return report
+    report["appeared"] = sorted(change.keys() - parent.keys())
+    report["disappeared"] = sorted(parent.keys() - change.keys())
+    report["resized"] = {name: [parent[name], change[name]]
+                         for name in sorted(parent.keys() & change.keys())
+                         if parent[name] != change[name]}
+    for name in report["appeared"]:
+        print(f"kernel function appeared: {name} ({change[name]} bytes)")
+    for name in report["disappeared"]:
+        print(f"kernel function disappeared: {name} ({parent[name]} bytes)")
+    for name, (before, after) in report["resized"].items():
+        print(f"kernel function resized: {name} {before} -> {after} bytes")
+    return report
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", required=True)
@@ -213,6 +271,7 @@ def main():
                         "nproc": os.cpu_count(),
                         "machine": platform.machine()},
     }
+    result["kernel_functions"] = kernel_functions_report(args)
     if args.pairs:
         result["pairs"] = pairs(args)
     if args.stages:

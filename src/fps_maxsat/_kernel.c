@@ -10,11 +10,16 @@
  * same trajectory, bit for bit, as the Python engine with the same seed.
  * A change to an update rule must be made in both places.
  *
- * One place is not line by line: the soft bump of update_weights visits
- * only the falsified soft clauses below soft_cap, read from fs_open, a
- * bitmap over positions in fs_items that only the kernel keeps, instead
- * of skipping the capped ones.  It keeps the reference's order and
- * results.
+ * Three structures exist only in the kernel.  Each keeps the reference's
+ * order and results:
+ * - fs_open, a bitmap over positions in fs_items, marks the falsified
+ *   soft clauses below soft_cap, so the soft bump of update_weights
+ *   visits only those instead of skipping the capped ones;
+ * - raised, a bitmap over clauses, marks those above their initial
+ *   weight, so smoothing visits only those, in clause order, instead of
+ *   checking all m;
+ * - the clock cadence: fk_run reads the clock only every stride steps,
+ *   where the Python loop reads it before every step (see CLOCK_MIN_S).
  *
  * The caller (_kernel.py) fills in the sizes, the parameters, the
  * generator state and the formula's arrays, which it owns.  fk_init
@@ -103,6 +108,8 @@ struct fk_work {
     int8_t *seen;
     /* bit i set when fs_items[i] is below soft_cap; clear from fs_len on */
     uint64_t *fs_open;
+    /* bit c set exactly when dyn_weight[c] > init_weight[c] */
+    uint64_t *raised;
     int64_t wmax;         /* running maximum of dyn_weight */
     int64_t weight_limit; /* hand back before wmax + increment reaches it */
 };
@@ -366,6 +373,7 @@ static void bump(struct fk_state *s, int32_t c, int64_t inc)
     s->dyn_weight[c] += inc;
     if (s->dyn_weight[c] > w->wmax)
         w->wmax = s->dyn_weight[c];
+    bit_put(w->raised, c, 1); /* inc >= 1 */
     for (j = s->lit_start[c]; j < s->lit_start[c + 1]; j++) {
         int32_t y = var_of(s->lits[j]);
         sc = s->score[y];
@@ -381,11 +389,20 @@ static void update_weights(struct fk_state *s)
     struct fk_work *w = s->work;
     int64_t i, sc, ns;
     if (rng_random(s) < s->sp) {
-        for (i = 0; i < s->m; i++) {
-            if (s->sat_count[i] > 0 && s->dyn_weight[i] > s->init_weight[i]) {
-                s->dyn_weight[i] -= 1;
-                if (s->sat_count[i] == 1) {
-                    int32_t z = s->tv[i];
+        /* The set bits of raised, in clause order: the clauses of the
+           reference's pass over all m that are above their initial
+           weight.  A clause smoothed back down to it leaves raised. */
+        for (i = 0; i < s->m; i += 64) {
+            uint64_t word = w->raised[i >> 6];
+            while (word) {
+                int64_t c = i + lowest_bit(word);
+                word &= word - 1;
+                if (s->sat_count[c] == 0)
+                    continue;
+                if (--s->dyn_weight[c] == s->init_weight[c])
+                    bit_put(w->raised, c, 0);
+                if (s->sat_count[c] == 1) {
+                    int32_t z = s->tv[c];
                     sc = s->score[z];
                     ns = sc + 1;
                     s->score[z] = ns;
@@ -679,6 +696,7 @@ void fk_free(struct fk_state *s)
     free(w->fv);
     free(w->seen);
     free(w->fs_open);
+    free(w->raised);
     free(w);
     s->work = NULL;
 }
@@ -715,12 +733,13 @@ static int allocate(struct fk_state *s)
     w->fv = malloc(n1 * sizeof *w->fv);
     w->seen = calloc(n1, sizeof *w->seen);
     w->fs_open = calloc((size_t)s->m / 64 + 1, sizeof *w->fs_open);
+    w->raised = calloc((size_t)s->m / 64 + 1, sizeof *w->raised);
     if (!s->init_weight || !s->dyn_weight || !s->assign || !s->best_assign
         || !s->sat_count || !s->tv || !s->score || !s->fh_items
         || !s->fs_items || !s->gv_items || !w->occ_start || !w->occ
         || !w->fh_pos || !w->fs_pos || !w->gv_pos || !w->dval || !w->dmark
         || !w->dkeys || !w->pkeys || !w->pvals || !w->fv || !w->seen
-        || !w->fs_open)
+        || !w->fs_open || !w->raised)
         return FK_NOMEM;
     return FK_OK;
 }
@@ -844,29 +863,46 @@ int fk_init(struct fk_state *s)
     return FK_OK;
 }
 
+/* Clock cadence of fk_run: it reads the clock every stride steps.  The
+   stride doubles while reads come less than CLOCK_MIN_S apart and halves
+   when they come more than CLOCK_MAX_S apart, so a run ends about one
+   read interval after its time limit or slice: tens of microseconds, or
+   a few steps when single steps take longer than that. */
+#define CLOCK_MIN_S 20e-6
+#define CLOCK_MAX_S 80e-6
+#define STRIDE_MAX 1024
+
 /* Advance the search until one of the FK_* events.  max_flips < 0 means
-   no flip budget; remaining_s is the time left of the run's limit. */
+   no flip budget; remaining_s is the time left of the run's limit.  The
+   flip budget is checked before every step, the clock before the first
+   and then every stride steps. */
 int fk_run(struct fk_state *s, int64_t max_flips, double remaining_s,
            double slice_s)
 {
     struct fk_work *w = s->work;
     int64_t inc = s->hard_weight; /* the largest bump */
-    double start = now_s();
+    int64_t stride = 1, countdown = 1;
+    double start = now_s(), last = start;
     for (;;) {
         int64_t has_best = s->has_best, best_cost = s->best_cost;
-        int moved;
-        double elapsed;
         if (max_flips >= 0 && s->flips >= max_flips)
             return FK_BUDGET;
-        elapsed = now_s() - start;
-        if (elapsed >= remaining_s)
-            return FK_BUDGET;
-        if (elapsed >= slice_s)
-            return FK_SLICE;
+        if (--countdown == 0) {
+            double now = now_s();
+            if (now - start >= remaining_s)
+                return FK_BUDGET;
+            if (now - start >= slice_s)
+                return FK_SLICE;
+            if (now - last < CLOCK_MIN_S && stride < STRIDE_MAX)
+                stride *= 2;
+            else if (now - last > CLOCK_MAX_S && stride > 1)
+                stride /= 2;
+            last = now;
+            countdown = stride;
+        }
         if (w->wmax >= w->weight_limit - inc)
             return FK_HANDBACK;
-        moved = fps_step(s);
-        if (!moved)
+        if (!fps_step(s))
             return FK_DONE;
         if (s->has_best != has_best || s->best_cost != best_cost)
             return FK_IMPROVED;

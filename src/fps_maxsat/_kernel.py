@@ -49,7 +49,9 @@ LDLIBS = ("-lm",)
 # fk_run results (the FK_* enum in _kernel.c)
 BUDGET, IMPROVED, SLICE, DONE, HANDBACK = range(5)
 #: Longest stretch of search between two returns to Python, so signal
-#: handlers and the stop flag are served promptly.
+#: handlers and the stop flag are served promptly.  The kernel reads the
+#: clock every few steps, so a slice ends within about one read interval
+#: (tens of microseconds) of this.
 SLICE_S = 0.01
 
 _INT32_MAX = 2**31 - 1

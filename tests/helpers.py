@@ -271,6 +271,24 @@ def conflicted_weighted_instance(
     return Formula.build(num_vars=n, hard=hard, soft=soft)
 
 
+def hub_instance(
+    rng: random.Random, n: int = 1_000, m: int = 100_000
+) -> Formula:
+    """``m`` weighted binary soft clauses that all contain variable 1.
+
+    Each pairs a literal of variable 1 with one of a random other
+    variable, so a flip of variable 1 visits all ``m`` clauses and single
+    steps can be slow.  At this density no assignment satisfies every
+    clause, so a run never ends early.
+    """
+    soft = [
+        (rng.randint(1, 5),
+         [rng.choice((1, -1)), rng.choice((1, -1)) * rng.randint(2, n)])
+        for _ in range(m)
+    ]
+    return Formula.build(num_vars=n, soft=soft)
+
+
 def unit_weights(formula: Formula) -> Formula:
     """``formula`` with every soft weight set to 1."""
     return Formula(formula.num_vars, formula.clauses,

@@ -152,6 +152,24 @@ class TestDifferential:
             SolverConfig(mode=mode, seed=7), weighting=weighting,
         )
 
+    @pytest.mark.parametrize("sp", [1.0, 0.5])
+    @pytest.mark.parametrize("weights", ["weighted", "unit"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_heavy_smoothing(self, mode, weights, sp):
+        # The kernel smooths only the clauses its raised bitmap marks as
+        # above their initial weight.  With sp = 0.5 half the weight
+        # updates smooth, so clauses keep rising and falling back to their
+        # initial weight: a bit dropped leaves a clause high, a bit left
+        # set takes one below its start.  sp = 1.0 never bumps, so every
+        # smoothing must find nothing to lower.
+        formula = lookahead_instance()
+        if weights == "unit":
+            formula = unit_weights(formula)
+        assert_engines_agree(
+            formula, SolverConfig(mode=mode, seed=7),
+            weighting=WeightingParams(sp=sp),
+        )
+
     @pytest.mark.parametrize("mode", ["single", "fps-rw"])
     def test_long_clauses_random_walk(self, mode):
         # Clauses far longer than any fixed tie buffer: the random walk
@@ -526,8 +544,9 @@ class TestBuild:
         assert other.read_text() == "unrelated"
 
     def test_differential_under_ubsan(self, tmp_path):
-        # The lookahead differential check of every mode, run through a
-        # kernel built with the undefined-behaviour sanitizer.  A report
+        # The lookahead differential check of every mode, with the default
+        # weighting and with heavy smoothing, run through a kernel built
+        # with the undefined-behaviour sanitizer.  A report
         # aborts the child, so a fault fails this test with the report in
         # its stderr instead of taking the test process down.
         script = f"""
@@ -538,10 +557,13 @@ lib = _kernel.build(_kernel.SOURCE, _kernel.Path({str(tmp_path)!r}))
 if lib is None:
     sys.exit(77)
 _kernel._lib, _kernel._loaded = lib, True
-from test_kernel import MODES, SolverConfig, assert_engines_agree, \\
-    lookahead_instance
+from test_kernel import MODES, SolverConfig, WeightingParams, \\
+    assert_engines_agree, lookahead_instance
 for mode in MODES:
-    assert_engines_agree(lookahead_instance(), SolverConfig(mode=mode, seed=7))
+    for weighting in (None, WeightingParams(sp=1.0), WeightingParams(sp=0.5)):
+        assert_engines_agree(lookahead_instance(),
+                             SolverConfig(mode=mode, seed=7),
+                             weighting=weighting)
 """
         proc = subprocess.run(
             [sys.executable, "-c", script],

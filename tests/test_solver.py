@@ -4,6 +4,8 @@ import hashlib
 import io
 import pickle
 import random
+import threading
+import time
 from contextlib import redirect_stdout
 
 import pytest
@@ -33,6 +35,7 @@ from fps_maxsat.solver import (
 from helpers import (
     bms_reference,
     conflicted_weighted_instance,
+    hub_instance,
     planted_formula,
     random_formula,
     unit_weights,
@@ -532,10 +535,47 @@ class TestSolve:
         assert 1_000 <= res.flips <= 1_001
 
     def test_time_limit_only(self):
-        f = conflicted_weighted_instance(random.Random(15), 10, 8, 14)
-        res = solve(f, SolverConfig(seed=2, time_limit=0.05))
-        assert res.elapsed_s < 5.0
-        assert res.flips > 0
+        # The kernel reads the clock only every few steps; a run still
+        # ends within a few hundredths of a second of its limit, also on
+        # an instance where one variable sits in 100,000 clauses and
+        # single steps are slow.  The Python engine reads the clock before
+        # every step, but its steps there take up to ~45 ms, so it is
+        # held to the bound only on the first instance.
+        engine = "python" if _kernel.load() is None else "c"
+        instances = [
+            conflicted_weighted_instance(random.Random(1), 300, 700, 1400)
+        ]
+        if engine == "c":
+            instances.append(hub_instance(random.Random(3)))
+        for f in instances:
+            res = solve(f, SolverConfig(seed=2, time_limit=0.2))
+            assert res.engine == engine
+            assert 0.2 <= res.elapsed_s < 0.3, f.num_clauses
+            assert res.flips > 0
+
+    @pytest.mark.skipif(_kernel.load() is None,
+                        reason="the C kernel cannot be built here")
+    def test_stop_event_ends_kernel_run(self):
+        f = conflicted_weighted_instance(random.Random(1), 300, 700, 1400)
+        stop = threading.Event()
+        set_at = []
+
+        def set_stop():
+            set_at.append(time.perf_counter())
+            stop.set()
+
+        timer = threading.Timer(0.2, set_stop)
+        timer.start()
+        try:
+            res = solve(f, SolverConfig(seed=2, time_limit=10), stop=stop)
+            ended = time.perf_counter()
+        finally:
+            timer.cancel()
+            timer.join(timeout=5)
+        assert not timer.is_alive()
+        assert res.engine == "c"
+        assert set_at and ended - set_at[0] < 0.1
+        assert res.elapsed_s >= 0.2
 
     def test_on_improvement_callback_matches_trace(self):
         f = planted_formula(random.Random(17), 12, 12, 22, weighted=True)
