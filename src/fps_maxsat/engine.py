@@ -223,10 +223,6 @@ class SearchState:
             return INFEASIBLE
         return self.soft_falsified_weight + self._offset
 
-    def current_assignment(self) -> List[bool]:
-        """Copy of the current assignment, 0-based (index i is variable i+1)."""
-        return self.assign[1:]
-
     def best_assignment(self) -> Optional[List[bool]]:
         """Copy of the best feasible assignment seen, or None."""
         if self.best_assign is None:

@@ -150,11 +150,6 @@ class Formula(FrozenRecord):
         return tuple(self.soft_weight)
 
     @property
-    def is_weighted(self) -> bool:
-        """True when some soft clause carries a weight other than 1."""
-        return max(self.soft_weight, default=0) > 1
-
-    @property
     def num_clauses(self) -> int:
         return len(self.soft_weight)
 
@@ -240,6 +235,22 @@ def _assemble(
         weights.append(0 if is_hard else weight)
     return _layout(num_vars, _int_array(lits_out), _int_array(starts),
                    array("Q", weights), soft_offset, has_empty_hard)
+
+
+def read_wcnf(path) -> Formula:
+    """Read and parse the WCNF file at ``path``.
+
+    The :class:`ParseError`, MemoryError or OSError raised names the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            return parse_wcnf(fh.read())
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    except MemoryError:
+        raise MemoryError(f"{path}: out of memory") from None
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc.strerror}") from None
 
 
 class _Malformed(Exception):

@@ -18,8 +18,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
-from .formula import INFEASIBLE, parse_wcnf
-from .solver import RunStatus, SolverConfig, config_for_mode, solve
+from .formula import INFEASIBLE, read_wcnf
+# config_for_mode is re-exported: the benchmark's traced runs import it here
+from .solver import SolverConfig, config_for_mode, run_record, solve
 
 CSV_FIELDS = [
     "instance",
@@ -48,25 +49,17 @@ class InstanceRecord:
 def run_instance(
     path: Union[str, Path], config: SolverConfig
 ) -> InstanceRecord:
-    """Parse one WCNF file and solve it with ``config``.
+    """Read one WCNF file and solve it with ``config``.
 
     A MemoryError is raised again with the instance named in its message.
     """
+    formula = read_wcnf(path)
     try:
-        formula = parse_wcnf(Path(path).read_bytes())
         result = solve(formula, config)
     except MemoryError:
         raise MemoryError(f"{path}: out of memory") from None
-    feasible = result.status is RunStatus.FEASIBLE
-    return InstanceRecord(
-        instance=str(path),
-        mode=config.mode,
-        seed=config.seed,
-        status=result.status.value,
-        cost=int(result.best_cost) if feasible else None,
-        time_to_best_s=result.time_to_best_s,
-        flips=result.flips,
-    )
+    record = run_record(path, config, result)
+    return InstanceRecord(**{name: record[name] for name in CSV_FIELDS})
 
 
 def _worker_count(jobs: Optional[int], tasks: int) -> int:

@@ -157,6 +157,26 @@ class RunResult(Record):
         self.engine = engine
 
 
+def run_record(instance, config: SolverConfig, result: RunResult) -> dict:
+    """The record of one run of ``config`` on ``instance``.
+
+    ``solve --json`` prints it, and a bench CSV row holds its
+    ``CSV_FIELDS``.  ``cost`` is None when no feasible model was found.
+    """
+    feasible = result.status is RunStatus.FEASIBLE
+    return {
+        "instance": str(instance),
+        "mode": config.mode,
+        "seed": config.seed,
+        "status": result.status.value,
+        "cost": int(result.best_cost) if feasible else None,
+        "time_to_best_s": result.time_to_best_s,
+        "elapsed_s": result.elapsed_s,
+        "flips": result.flips,
+        "engine": result.engine,
+    }
+
+
 def bms_pick(
     candidates: Sequence[int],
     scores,

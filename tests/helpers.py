@@ -78,7 +78,7 @@ def rescan(state: SearchState) -> Dict[str, object]:
         "falsified_soft": falsified_soft,
         "good_vars": good_vars,
         "soft_falsified_weight": soft_weight,
-        "cost": evaluate_cost(state.formula, state.current_assignment()),
+        "cost": evaluate_cost(state.formula, state.assign[1:]),
     }
 
 

@@ -157,7 +157,7 @@ def test_4_pair_flip_escapes_single_flip_optimum():
             assert state.flips == 2  # a pair, not a lone flip
             assert state.current_cost == 0
             outcomes.append(
-                (state.current_assignment(), state.flips, state.current_cost)
+                (state.assign[1:], state.flips, state.current_cost)
             )
         assert outcomes[0] == outcomes[1]
         info["detail"] = "cost 1 -> 0 by one candidate+partner step"

@@ -123,7 +123,7 @@ class TestInit:
         st = SearchState(f, rng=random.Random(7))
         twin = random.Random(7)
         expected = [twin.random() < 0.5 for _ in range(6)]
-        assert st.current_assignment() == expected
+        assert st.assign[1:] == expected
 
     def test_rng_or_assignment_required(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fps_maxsat.cli import main
+from fps_maxsat.weighting import WeightingParams
 from fps_maxsat.formula import (
     INFEASIBLE,
     Formula,
@@ -58,8 +59,13 @@ class TestParsing:
         assert f.weights == (0, 2)
 
     def test_is_weighted(self):
-        assert example_formula().is_weighted
-        assert not parse_wcnf("h 1 0\n1 -1 0\n").is_weighted
+        # the weighting scheme's constants follow the largest soft weight
+        weighted = example_formula()
+        unweighted = parse_wcnf("h 1 0\n1 -1 0\n")
+        assert max(weighted.soft_weight, default=0) > 1
+        assert max(unweighted.soft_weight, default=0) == 1
+        assert WeightingParams.defaults_for(weighted) != WeightingParams()
+        assert WeightingParams.defaults_for(unweighted) == WeightingParams()
 
     def test_old_dialect_num_vars_from_header(self):
         # header may declare more variables than are mentioned
@@ -146,7 +152,8 @@ class TestParseErrors:
         path = tmp_path / "latin1.wcnf"
         path.write_bytes(data)
         assert main(["solve", str(path), "--max-flips", "10"]) == 2
-        assert capsys.readouterr().err.startswith("parse error: input is not")
+        assert capsys.readouterr().err.startswith(
+            f"parse error: {path}: input is not")
 
     def test_clause_continued_on_next_line(self):
         # every clause ends on its own line: a line break is not a space

@@ -85,6 +85,23 @@ def worked_file(tmp_path):
     return p
 
 
+class TestBenchmarkImports:
+    def test_names_the_benchmark_reads(self):
+        # perfbench's traced runs import these names
+        from fps_maxsat import engine, formula, solver
+
+        assert harness.config_for_mode is solver.config_for_mode
+        for module, name in [
+            (engine, "SearchState"),
+            (engine, "WeightingParams"),
+            (solver, "fps_step"),
+            (solver, "bms_pick"),
+            (solver, "evaluate_cost"),
+            (formula, "parse_wcnf"),
+        ]:
+            assert callable(getattr(module, name)), name
+
+
 class TestMseScore:
     def test_matching_best_known(self):
         assert mse_score(9, 9) == 1.0
@@ -638,10 +655,54 @@ class TestCliInterrupt:
         assignment = [ch == "1" for ch in model]
         assert evaluate_cost(formula, assignment) == costs[-1]
 
+    @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT],
+                             ids=["SIGTERM", "SIGINT"])
+    def test_signal_while_reading(self, signum, worked_file):
+        # the child signals itself as the reader starts: the search then
+        # stops at its first check, before any flip
+        proc = run_cli(
+            "import os, sys; from fps_maxsat import cli\n"
+            "read = cli.read_wcnf\n"
+            "def read_signalled(path):\n"
+            f"    os.kill(os.getpid(), {int(signum)})\n"
+            "    return read(path)\n"
+            "cli.read_wcnf = read_signalled\n"
+            "sys.exit(cli.main(sys.argv[1:]))",
+            "solve", str(worked_file), "--time-limit", "120", "--json",
+        )
+        try:
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 0, err
+        assert "Traceback" not in err
+        lines = out.splitlines()
+        assert len([line for line in lines if line.startswith("s ")]) == 1
+        assert json.loads(lines[-1])["flips"] == 0
+
 
 class TestCliFailures:
     MAIN = ("import sys; from fps_maxsat.cli import main; "
             "sys.exit(main(sys.argv[1:]))")
+
+    def assert_out_of_memory(self, command, path, limit):
+        """``command`` on ``path`` in a child whose address space is capped
+        at ``limit`` bytes fails with one line naming ``path``."""
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        args = [command, str(path)]
+        if command != "oracle":
+            args += ["--max-flips", "10"]
+        if command in ("bench", "sweep"):
+            args += ["--out", str(path.parent / "out.csv")]
+        proc = run_cli(self.MAIN, *args, preexec_fn=cap_memory)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 1, err
+        assert err == f"error: {path}: out of memory\n"
+        assert out == ""
+        assert not (path.parent / "out.csv").exists()
 
     @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
     def test_oversized_instance_out_of_memory(self, command, tmp_path):
@@ -649,20 +710,16 @@ class TestCliFailures:
         # without the address-space limit the child sets for itself.
         path = tmp_path / "huge.wcnf"
         path.write_text("p wcnf 200000000 1 10\n3 1 0\n")
-        limit = 256 * 2**20
+        self.assert_out_of_memory(command, path, 256 * 2**20)
 
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        args = [command, str(path), "--max-flips", "10"]
-        if command != "solve":
-            args += ["--out", str(tmp_path / "out.csv")]
-        proc = run_cli(self.MAIN, *args, preexec_fn=cap_memory)
-        out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 1, err
-        assert err == f"error: {path}: out of memory\n"
-        assert out == ""
-        assert not (tmp_path / "out.csv").exists()
+    @pytest.mark.parametrize("command", ["solve", "oracle", "bench", "sweep"])
+    def test_parse_out_of_memory(self, command, tmp_path):
+        # Parsing these 150k clauses (3.4 MB) peaks near 110 MB of address
+        # space, start-up with every module the commands load near 20 MB.
+        path = tmp_path / "wide.wcnf"
+        path.write_text("".join(
+            f"1 {v} {-(v + 1)} {v + 2} 0\n" for v in range(1, 150_001)))
+        self.assert_out_of_memory(command, path, 64 * 2**20)
 
     def test_closed_stdout(self, tmp_path):
         # `solve ... | head -1`: the reader goes away after the first line
@@ -812,6 +869,23 @@ class TestCliBenchAndSweep:
         lines = out.read_text().splitlines()
         assert lines[0] == ",".join(CSV_FIELDS)
         assert len(lines) == 9
+
+    @pytest.mark.parametrize("command", ["bench", "sweep"])
+    def test_parse_error_names_the_file(self, command, tmp_path, capsys):
+        d = tmp_path / "inst"
+        d.mkdir()
+        (d / "a.wcnf").write_text(WORKED)
+        bad = d / "b.wcnf"
+        bad.write_text("h 1 0\nx 2 0\n")
+        out = tmp_path / "out.csv"
+        code = main([command, str(d), "--max-flips", "100", "--out",
+                     str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"parse error: {bad}: line 2: expected 'h' or clause weight, "
+            "got 'x'\n"
+        )
+        assert not out.exists()
 
     def test_bench_missing_path(self, tmp_path, capsys):
         assert main(["bench", str(tmp_path / "ghost")]) == 1

@@ -138,6 +138,14 @@ class TestLazyNumpy:
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
+    def test_solve_json_loads_only_json(self, tmp_path):
+        path = tmp_path / "worked.wcnf"
+        path.write_text("1 -1 2 0\n1 1 -2 0\n1 1 2 0\n")
+        run = ("from fps_maxsat.cli import main; "
+               f"assert main(['solve', {str(path)!r}, '--max-flips', '0', "
+               "'--json']) == 0")
+        assert self.loaded_by(run) == "['json']"
+
     def test_cli_import_does_not_load_numpy(self):
         assert self.loaded_by("import fps_maxsat.cli") == "[]"
 

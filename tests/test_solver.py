@@ -222,7 +222,7 @@ class TestSingleFlipStep:
         st = SearchState(f, assignment=[False])
         assert set(st.good_vars.items) == {1}
         assert fps_step(st, self.SINGLE, random.Random(0))
-        assert st.current_assignment() == [True]
+        assert st.assign[1:] == [True]
 
     def test_escape_updates_weights_then_walks(self):
         # (x1) and (-x1) cancel out: score(x1) = 0, good_vars empty, yet
@@ -278,7 +278,7 @@ class TestFpsStep:
         assert fps_step(st, SolverConfig(), random.Random(1))
         assert st.flips == 2
         assert st.current_cost == 0
-        assert st.current_assignment() == [True, True]
+        assert st.assign[1:] == [True, True]
 
     def test_all_probes_empty_flips_v1(self):
         # soft (x1) falsified, soft (-x1) satisfied: score(x1) = 0, and the
